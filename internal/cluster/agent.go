@@ -178,11 +178,17 @@ func (a *Agent) post(path string, in, out any) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return a.send(path, "application/json", body, out)
+}
+
+// send POSTs one request body, decoding a 2xx JSON answer into out when
+// non-nil.
+func (a *Agent) send(path, contentType string, body []byte, out any) (int, error) {
 	hreq, err := http.NewRequestWithContext(a.ctx, http.MethodPost, a.opts.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", contentType)
 	hresp, err := a.cli.Do(hreq)
 	if err != nil {
 		return 0, err
@@ -300,6 +306,16 @@ func (a *Agent) execute(lease *LeaseResponse) {
 		}
 	}
 
+	frame, err := encodeCompletion(&comp)
+	if err != nil {
+		// A result JSON cannot carry still completes the item, as an
+		// error, instead of a completion retried until the agent stops.
+		comp.Response = serve.Response{Error: "encoding result: " + err.Error()}
+		comp.Status = http.StatusInternalServerError
+		if frame, err = encodeCompletion(&comp); err != nil {
+			return
+		}
+	}
 	// The completion must land: the result exists only here, and losing it
 	// costs the cluster a redundant re-run at lease expiry. Retry past
 	// transient coordinator trouble; stop only when rejected (the lease
@@ -307,7 +323,7 @@ func (a *Agent) execute(lease *LeaseResponse) {
 	// agent itself stops.
 	for attempt := 1; a.ctx.Err() == nil; attempt++ {
 		var ack CompleteResponse
-		st, err := a.post("/cluster/v1/complete", &comp, &ack)
+		st, err := a.send("/cluster/v1/complete", "application/octet-stream", frame, &ack)
 		if err == nil && st == http.StatusOK {
 			return
 		}
@@ -368,8 +384,14 @@ func (a *Agent) fetchCache(addr string) []byte {
 		io.Copy(io.Discard, io.LimitReader(hresp.Body, 8<<10))
 		return nil
 	}
-	blob, err := io.ReadAll(io.LimitReader(hresp.Body, maxBodyBytes))
-	if err != nil {
+	n := hresp.ContentLength
+	if n < 0 || n > maxBodyBytes {
+		// The coordinator always sends a length; anything else is not a
+		// blob this agent will buffer.
+		return nil
+	}
+	blob := make([]byte, n)
+	if _, err := io.ReadFull(hresp.Body, blob); err != nil {
 		return nil
 	}
 	return blob

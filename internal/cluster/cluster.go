@@ -6,16 +6,17 @@
 //
 // # Protocol
 //
-// The coordinator speaks two HTTP/JSON surfaces. The client surface is
+// The coordinator speaks two HTTP surfaces. The client surface is
 // wire-compatible with a single passivityd daemon — POST /v1/check and
 // /v1/enforce take the serve.Request schema and block until the job's
 // result returns from whichever host ran it — so `passcheck -remote`
 // pointed at a coordinator transparently fans a batch out across the
-// fleet. The worker surface under /cluster/v1/ is pull-based:
+// fleet. The worker surface under /cluster/v1/ is pull-based, JSON
+// except for the framed completion and the raw blob download:
 //
 //	POST /cluster/v1/join       register, advertise the warm-cache catalog
 //	POST /cluster/v1/lease      long-poll for the next work item (204 = none)
-//	POST /cluster/v1/complete   deliver a result (+ optional cache upload)
+//	POST /cluster/v1/complete   deliver a result (+ optional cache upload), framed
 //	POST /cluster/v1/heartbeat  renew liveness and the in-flight leases
 //	GET  /cluster/v1/cache      download a content-addressed cache blob
 //
@@ -48,16 +49,28 @@
 //
 // # Warm-state transfer
 //
-// Warm state moves as the v3 checksummed Session cache files. After a
-// completion the worker uploads the model's per-fingerprint cache blob;
-// the coordinator verifies the CRC-64 footer and stores it
-// content-addressed (a corrupt upload is quarantined — counted, never
-// stored — and the job's result stands). When a job is placed or stolen
-// onto a member whose catalog lacks the fingerprint, the lease carries
-// the blob's address; the agent downloads and imports it ahead of the
-// model, so a rebalanced or recovered host starts warm. The import path
-// re-verifies the checksum end to end — a blob torn in flight costs one
-// cold pole set, never a poisoned cache.
+// Warm state moves as the v3 checksummed Session cache files, as raw
+// bytes end to end. When its lease asked for one (WantCache), a
+// completion uploads the model's per-fingerprint cache blob in the same
+// request: /cluster/v1/complete takes one application/octet-stream body
+// framed as an 8-byte little-endian length, the JSON CompleteRequest,
+// then the blob — no base64, and the coordinator reads the body once
+// into one buffer whose tail is the blob. The coordinator checks a blob
+// once: repro.CacheBlobFingerprint (magic, version, CRC-64 footer, pole
+// fingerprint and a walk of the payload that builds nothing), with the
+// content address taken from the verified footer; a
+// corrupt upload is quarantined — counted, never stored — and the job's
+// result stands. The store keeps one blob per fingerprint: a newer
+// upload drops the one it supersedes, and a lease still naming the old
+// address gets a 404 and runs cold. The upload is ingested before the
+// item's waiter is released, so the next job of the fingerprint already
+// sees it. When a job is placed or stolen onto a member whose catalog
+// lacks the fingerprint, the lease carries the blob's address; the agent
+// downloads it (GET /cluster/v1/cache, sized by Content-Length) and
+// imports it ahead of the model, so a rebalanced or recovered host
+// starts warm. The import is the agent's trust boundary and parses the
+// blob in full — a blob torn in flight costs one cold pole set, never a
+// poisoned cache.
 package cluster
 
 import (
@@ -146,7 +159,10 @@ type HeartbeatRequest struct {
 }
 
 // CompleteRequest delivers one item's result, optionally with the
-// model's per-fingerprint cache blob as the warm-state upload.
+// model's per-fingerprint cache blob as the warm-state upload. On the
+// wire it travels as one framed application/octet-stream body (see
+// encodeCompletion): the JSON of every field but Cache, then the raw
+// blob bytes.
 type CompleteRequest struct {
 	// Worker names the host; Item and Epoch echo the lease.
 	Worker string `json:"worker"`
@@ -160,8 +176,10 @@ type CompleteRequest struct {
 	// Response is the job's wire result.
 	Response serve.Response `json:"response"`
 	// Cache, when present, is the v3 checksummed cache blob for the
-	// model's fingerprint (base64 over JSON), uploaded after completion.
-	Cache []byte `json:"cache,omitempty"`
+	// model's fingerprint, uploaded after completion. It is not part of
+	// the JSON: the frame carries it as raw bytes after the JSON, and the
+	// coordinator's copy is a sub-slice of the request body it read.
+	Cache []byte `json:"-"`
 }
 
 // CompleteResponse acknowledges a completion.

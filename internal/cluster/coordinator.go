@@ -133,8 +133,10 @@ type Coordinator struct {
 	closed    bool
 	rng       *rand.Rand
 
-	// notify wakes one blocked lease long-poll when work arrives; a
-	// successful lease re-arms it while queued work remains.
+	// notify is closed, and replaced, whenever work arrives (wakeLocked):
+	// every lease long-poll blocked on the channel it observed wakes and
+	// looks again, so a wake cannot be spent on a member with nothing to
+	// lease while the member the work was placed on sleeps.
 	notify chan struct{}
 
 	stop chan struct{}
@@ -174,7 +176,7 @@ func NewCoordinator(opts Options) *Coordinator {
 		items:     make(map[int64]*item),
 		placement: make(map[uint64]string),
 		rng:       rand.New(rand.NewSource(seed)),
-		notify:    make(chan struct{}, 1),
+		notify:    make(chan struct{}),
 		stop:      make(chan struct{}),
 	}
 	c.wg.Add(1)
@@ -279,15 +281,13 @@ func (c *Coordinator) enqueueLocked(it *item, exclude string, front bool) {
 		m.queue = append(m.queue, it)
 	}
 	it.holder = m.name
-	c.wake()
+	c.wakeLocked()
 }
 
-// wake arms the lease long-poll notifier (non-blocking).
-func (c *Coordinator) wake() {
-	select {
-	case c.notify <- struct{}{}:
-	default:
-	}
+// wakeLocked wakes every blocked lease long-poll.
+func (c *Coordinator) wakeLocked() {
+	close(c.notify)
+	c.notify = make(chan struct{})
 }
 
 // placeLocked picks the member for a fingerprint: the recorded placement,
@@ -375,7 +375,7 @@ func (c *Coordinator) Join(req *JoinRequest) (*JoinResponse, error) {
 			c.enqueueLocked(it, "", false)
 		}
 	}
-	c.wake()
+	c.wakeLocked()
 	return &JoinResponse{
 		LeaseTTLMS:  c.opts.LeaseTTL.Milliseconds(),
 		PollWaitMS:  c.opts.PollWait.Milliseconds(),
@@ -490,12 +490,12 @@ func (c *Coordinator) Lease(ctx context.Context, req *LeaseRequest) (*LeaseRespo
 	deadline := time.NewTimer(c.opts.PollWait)
 	defer deadline.Stop()
 	for {
-		resp, err := c.tryLease(req)
+		resp, wait, err := c.tryLease(req)
 		if resp != nil || err != nil {
 			return resp, err
 		}
 		select {
-		case <-c.notify:
+		case <-wait:
 		case <-deadline.C:
 			return nil, nil
 		case <-ctx.Done():
@@ -506,17 +506,19 @@ func (c *Coordinator) Lease(ctx context.Context, req *LeaseRequest) (*LeaseRespo
 	}
 }
 
-// tryLease attempts one lease without blocking.
-func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, error) {
+// tryLease attempts one lease without blocking. With no work it returns
+// the wake channel current in the same critical section, so work that
+// arrives after this look closes the channel the caller waits on.
+func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, <-chan struct{}, error) {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	m := c.members[req.Worker]
 	if m == nil || m.lost {
-		return nil, ErrUnknownWorker
+		return nil, nil, ErrUnknownWorker
 	}
 	m.lastSeen = now
 	if req.Fingerprints != nil {
@@ -560,7 +562,7 @@ func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, error) {
 		}
 	}
 	if it == nil {
-		return nil, nil
+		return nil, c.notify, nil
 	}
 	it.state = stateLeased
 	it.epoch++
@@ -591,14 +593,7 @@ func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, error) {
 			c.met.shipped()
 		}
 	}
-	// More work may be queued; keep the other pollers moving.
-	for _, v := range c.members {
-		if len(v.queue) > 0 {
-			c.wake()
-			break
-		}
-	}
-	return resp, nil
+	return resp, nil, nil
 }
 
 // kindName maps a job kind to its wire name.
@@ -636,58 +631,78 @@ func (c *Coordinator) Heartbeat(req *HeartbeatRequest) error {
 // else — a duplicate from a host whose lease expired and whose item
 // already ran elsewhere, an unknown item id — is discarded, so every
 // item's result is delivered exactly once. An accepted completion also
-// ingests the optional cache upload: validated, content-addressed,
-// catalogued; a corrupt blob is quarantined without touching the result.
+// ingests the optional cache upload — validated, content-addressed,
+// catalogued; a corrupt blob is quarantined without touching the result
+// — before the item's waiter is released, so the next job of the
+// fingerprint finds the blob. The order is: epoch and holder check under
+// the lock (a stale completion never stores a blob), the store outside
+// it, then under the lock again a re-check of the epoch, the catalog
+// update and the finish.
 func (c *Coordinator) Complete(req *CompleteRequest) *CompleteResponse {
 	c.mu.Lock()
-	m := c.members[req.Worker]
-	if m != nil && !m.lost {
+	if m := c.members[req.Worker]; m != nil && !m.lost {
 		m.lastSeen = time.Now()
 	}
-	it := c.items[req.Item]
-	switch {
-	case it == nil:
-		c.mu.Unlock()
-		c.met.duplicate()
-		return &CompleteResponse{Accepted: false, Reason: "unknown item"}
-	case it.state != stateLeased || it.epoch != req.Epoch || it.holder != req.Worker:
-		c.mu.Unlock()
-		c.met.duplicate()
-		return &CompleteResponse{Accepted: false, Reason: "stale epoch"}
+	reject := c.checkCompletionLocked(req)
+	c.mu.Unlock()
+	if reject != nil {
+		return reject
 	}
+
+	stored, upFP := false, uint64(0)
+	if len(req.Cache) > 0 {
+		if _, fp, err := c.store.put(req.Cache); err != nil {
+			c.met.quarantinedUpload()
+		} else {
+			c.met.cacheTransferred(len(req.Cache))
+			stored, upFP = true, fp
+		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// The lease may have expired, or a twin completion landed, while the
+	// blob was being stored.
+	if reject := c.checkCompletionLocked(req); reject != nil {
+		return reject
+	}
+	it := c.items[req.Item]
 	it.resp = req.Response
 	it.resp.Attempts = it.attempts // cluster-level attempts supersede host-local counts
 	status := req.Status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	fp := it.fp
-	kind := it.kind
-	c.finishLocked(it, status)
-	c.met.completed(kindName(kind), status)
-	if m != nil {
+	if m := c.members[req.Worker]; m != nil {
 		// The host just ran the model; its serve layer holds the cache.
-		m.catalog[fp] = true
-	}
-	c.mu.Unlock()
-
-	if len(req.Cache) > 0 {
-		if _, upFP, err := c.store.put(req.Cache); err != nil {
-			c.met.quarantinedUpload()
-		} else {
-			c.met.cacheTransferred(len(req.Cache))
-			c.mu.Lock()
-			if m2 := c.members[req.Worker]; m2 != nil {
-				m2.catalog[upFP] = true
-			}
-			c.mu.Unlock()
+		m.catalog[it.fp] = true
+		if stored {
+			m.catalog[upFP] = true
 		}
 	}
+	c.finishLocked(it, status)
+	c.met.completed(kindName(it.kind), status)
 	return &CompleteResponse{Accepted: true}
 }
 
+// checkCompletionLocked returns the discard answer for a completion that
+// does not present its item's current epoch from its current holder, or
+// nil when the completion may be recorded.
+func (c *Coordinator) checkCompletionLocked(req *CompleteRequest) *CompleteResponse {
+	it := c.items[req.Item]
+	switch {
+	case it == nil:
+		c.met.duplicate()
+		return &CompleteResponse{Accepted: false, Reason: "unknown item"}
+	case it.state != stateLeased || it.epoch != req.Epoch || it.holder != req.Worker:
+		c.met.duplicate()
+		return &CompleteResponse{Accepted: false, Reason: "stale epoch"}
+	}
+	return nil
+}
+
 // CacheBlob serves a stored warm-state blob by content address (nil when
-// evicted), counting the downstream transfer.
+// evicted or superseded), counting the downstream transfer.
 func (c *Coordinator) CacheBlob(addr string) []byte {
 	blob := c.store.get(addr)
 	if blob != nil {

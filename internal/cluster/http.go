@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/serve"
@@ -22,6 +25,64 @@ type clientRequest struct {
 	Enforce     serve.EnforceSpec `json:"enforce"`
 	DeadlineMS  int64             `json:"deadline_ms,omitempty"`
 	MaxAttempts int               `json:"max_attempts,omitempty"`
+}
+
+// encodeCompletion frames a completion for POST /cluster/v1/complete:
+// an 8-byte little-endian length, that many bytes of CompleteRequest
+// JSON (which never carries Cache), then the raw cache blob, if any.
+func encodeCompletion(req *CompleteRequest) ([]byte, error) {
+	head, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	frame := make([]byte, 8, 8+len(head)+len(req.Cache))
+	binary.LittleEndian.PutUint64(frame, uint64(len(head)))
+	frame = append(frame, head...)
+	return append(frame, req.Cache...), nil
+}
+
+// decodeCompletion parses a framed completion body. The returned
+// request's Cache is a sub-slice of body (nil when the frame carries no
+// blob), so the upload is never copied.
+func decodeCompletion(body []byte) (*CompleteRequest, error) {
+	if len(body) < 8 {
+		return nil, fmt.Errorf("short completion frame (%d bytes)", len(body))
+	}
+	n := binary.LittleEndian.Uint64(body)
+	if n > uint64(len(body)-8) {
+		return nil, fmt.Errorf("completion frame declares %d JSON bytes, body holds %d", n, len(body)-8)
+	}
+	var req CompleteRequest
+	if err := json.Unmarshal(body[8:8+n], &req); err != nil {
+		return nil, fmt.Errorf("decoding completion: %w", err)
+	}
+	if blob := body[8+n:]; len(blob) > 0 {
+		req.Cache = blob
+	}
+	return &req, nil
+}
+
+// readBody reads a request body of exactly Content-Length bytes, bounded
+// by maxBodyBytes, into one buffer, answering the error itself.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return nil, false
+	}
+	switch n := r.ContentLength; {
+	case n < 0:
+		writeJSON(w, http.StatusLengthRequired, serve.Response{Error: "request needs a Content-Length"})
+		return nil, false
+	case n > maxBodyBytes:
+		writeJSON(w, http.StatusRequestEntityTooLarge, serve.Response{Error: fmt.Sprintf("request body of %d bytes exceeds %d", n, maxBodyBytes)})
+		return nil, false
+	}
+	body := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		writeJSON(w, http.StatusBadRequest, serve.Response{Error: "reading request: " + err.Error()})
+		return nil, false
+	}
+	return body, true
 }
 
 // writeJSON emits one JSON response with the given status.
@@ -44,9 +105,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 //	POST /v1/enforce          submit an enforce job
 //	POST /cluster/v1/join     register a worker host
 //	POST /cluster/v1/lease    long-poll for work (204 = none, 410 = re-join)
-//	POST /cluster/v1/complete deliver a result (+ optional cache upload)
+//	POST /cluster/v1/complete deliver a result (+ optional cache upload) as
+//	                          one octet-stream frame: 8-byte LE length,
+//	                          CompleteRequest JSON, raw blob bytes
 //	POST /cluster/v1/heartbeat renew liveness and leases
-//	GET  /cluster/v1/cache    download a content-addressed cache blob
+//	GET  /cluster/v1/cache    download a content-addressed cache blob (raw
+//	                          bytes; 404 once evicted or superseded)
 //	GET  /metrics             Prometheus text-format metrics
 //	GET  /healthz             readiness (503 until a worker host has joined)
 func (c *Coordinator) Handler() http.Handler {
@@ -88,11 +152,16 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/cluster/v1/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req CompleteRequest
-		if !decodePost(w, r, &req) {
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Complete(&req))
+		req, err := decodeCompletion(body)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
+			return
+		}
+		writeJSON(w, http.StatusOK, c.Complete(req))
 	})
 	mux.HandleFunc("/cluster/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
@@ -113,6 +182,7 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 		w.Write(blob)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"sync"
 
 	repro "repro"
@@ -11,15 +11,17 @@ import (
 
 // cacheStore is the coordinator's content-addressed warm-state store:
 // validated Session cache blobs keyed by their own content (fingerprint +
-// CRC-64 + length), with a per-fingerprint "latest" pointer and an LRU
-// byte budget. Content addressing makes re-uploads of an unchanged cache
-// free to store and lets a blob be shipped to any number of members
-// without coordination.
+// CRC-64 + length), one blob per fingerprint, under an LRU byte budget.
+// Content addressing makes re-uploads of an unchanged cache free to
+// store and lets a blob be shipped to any number of members without
+// coordination. A newer upload for a fingerprint supersedes the older
+// blob, which is dropped: its address then answers 404 and a lease still
+// naming it runs cold, as after an eviction.
 type cacheStore struct {
 	mu     sync.Mutex
-	blobs  map[string]*storeEntry
-	latest map[uint64]string // fingerprint → newest blob address
-	lru    *list.List        // of *storeEntry; front = most recent
+	byAddr map[string]*storeEntry
+	byFP   map[uint64]*storeEntry
+	lru    *list.List // of *storeEntry; front = most recent
 	bytes  int64
 	budget int64
 }
@@ -31,55 +33,61 @@ type storeEntry struct {
 	elem *list.Element
 }
 
-var storeCRC = crc64.MakeTable(crc64.ECMA)
-
 func newCacheStore(budget int64) *cacheStore {
 	return &cacheStore{
-		blobs:  make(map[string]*storeEntry),
-		latest: make(map[uint64]string),
+		byAddr: make(map[string]*storeEntry),
+		byFP:   make(map[uint64]*storeEntry),
 		lru:    list.New(),
 		budget: budget,
 	}
 }
 
 // put validates blob as a well-formed checksummed cache file and stores
-// it, returning its content address. A corrupt blob is rejected without
-// storing anything — the caller quarantines (counts) it.
+// it as its fingerprint's blob, returning its content address. A corrupt
+// blob is rejected without storing anything — the caller quarantines
+// (counts) it.
 func (st *cacheStore) put(blob []byte) (addr string, fp uint64, err error) {
 	fp, err = repro.CacheBlobFingerprint(blob)
 	if err != nil {
 		return "", 0, fmt.Errorf("cluster: corrupt cache upload: %w", err)
 	}
-	addr = fmt.Sprintf("%016x-%016x-%d", fp, crc64.Checksum(blob, storeCRC), len(blob))
+	// The footer is the CRC-64 of everything before it, verified just now.
+	crc := binary.LittleEndian.Uint64(blob[len(blob)-8:])
+	addr = fmt.Sprintf("%016x-%016x-%d", fp, crc, len(blob))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if e, ok := st.blobs[addr]; ok {
-		st.lru.MoveToFront(e.elem)
-		st.latest[fp] = addr
-		return addr, fp, nil
+	if old := st.byFP[fp]; old != nil {
+		if old.addr == addr {
+			st.lru.MoveToFront(old.elem)
+			return addr, fp, nil
+		}
+		st.removeLocked(old)
 	}
 	e := &storeEntry{addr: addr, fp: fp, blob: blob}
 	e.elem = st.lru.PushFront(e)
-	st.blobs[addr] = e
+	st.byAddr[addr] = e
+	st.byFP[fp] = e
 	st.bytes += int64(len(blob))
-	st.latest[fp] = addr
 	for st.budget > 0 && st.bytes > st.budget && st.lru.Len() > 1 {
-		old := st.lru.Back().Value.(*storeEntry)
-		st.lru.Remove(old.elem)
-		delete(st.blobs, old.addr)
-		st.bytes -= int64(len(old.blob))
-		if st.latest[old.fp] == old.addr {
-			delete(st.latest, old.fp)
-		}
+		st.removeLocked(st.lru.Back().Value.(*storeEntry))
 	}
 	return addr, fp, nil
 }
 
-// get returns the blob at addr (nil when evicted or never stored).
+// removeLocked drops one stored blob.
+func (st *cacheStore) removeLocked(e *storeEntry) {
+	st.lru.Remove(e.elem)
+	delete(st.byAddr, e.addr)
+	delete(st.byFP, e.fp)
+	st.bytes -= int64(len(e.blob))
+}
+
+// get returns the blob at addr (nil when evicted, superseded or never
+// stored).
 func (st *cacheStore) get(addr string) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e, ok := st.blobs[addr]
+	e, ok := st.byAddr[addr]
 	if !ok {
 		return nil
 	}
@@ -87,12 +95,15 @@ func (st *cacheStore) get(addr string) []byte {
 	return e.blob
 }
 
-// latestAddr returns the newest stored blob address for a fingerprint
-// ("" when none survives the budget).
+// latestAddr returns the stored blob address for a fingerprint ("" when
+// none survives the budget).
 func (st *cacheStore) latestAddr(fp uint64) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.latest[fp]
+	if e := st.byFP[fp]; e != nil {
+		return e.addr
+	}
+	return ""
 }
 
 // stats reports the store's resident bytes and blob count (gauges).

@@ -33,6 +33,11 @@ const (
 	// cacheMaxCount caps every persisted collection length, rejecting
 	// corrupt or hostile streams before any allocation.
 	cacheMaxCount = 1 << 28
+	// cacheMaxPrealloc caps how many elements a loader reserves on the
+	// strength of a stream's own count: a count within cacheMaxCount can
+	// still describe gigabytes the stream does not hold, so larger
+	// collections grow as their elements actually arrive.
+	cacheMaxPrealloc = 1 << 16
 )
 
 // ErrCacheFormat reports a malformed or incompatible persisted cache.
@@ -202,8 +207,8 @@ func LoadEvalCache(r io.Reader) (*EvalCache, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := make([]complex128, klen)
-		for j := range k {
+		k := make([]complex128, 0, min(klen, cacheMaxPrealloc))
+		for j := 0; j < klen; j++ {
 			re, err := f64()
 			if err != nil {
 				return nil, err
@@ -212,7 +217,7 @@ func LoadEvalCache(r io.Reader) (*EvalCache, error) {
 			if err != nil {
 				return nil, err
 			}
-			k[j] = complex(re, im)
+			k = append(k, complex(re, im))
 		}
 		c.storeBasis(w, k)
 	}
@@ -239,11 +244,13 @@ func LoadEvalCache(r io.Reader) (*EvalCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	hot := make([]float64, nHot)
-	for i := range hot {
-		if hot[i], err = f64(); err != nil {
+	hot := make([]float64, 0, min(nHot, cacheMaxPrealloc))
+	for i := 0; i < nHot; i++ {
+		w, err := f64()
+		if err != nil {
 			return nil, err
 		}
+		hot = append(hot, w)
 	}
 	c.hot = hot
 	nStash, err := count()
@@ -251,7 +258,7 @@ func LoadEvalCache(r io.Reader) (*EvalCache, error) {
 		return nil, err
 	}
 	if nStash > 0 {
-		c.stash = make(map[uint64]map[float64]float64, nStash)
+		c.stash = make(map[uint64]map[float64]float64, min(nStash, maxSigmaStash))
 	}
 	for i := 0; i < nStash; i++ {
 		key, err := u64()
@@ -262,7 +269,7 @@ func LoadEvalCache(r io.Reader) (*EvalCache, error) {
 		if err != nil {
 			return nil, err
 		}
-		layer := make(map[float64]float64, nLayer)
+		layer := make(map[float64]float64, min(nLayer, cacheMaxPrealloc))
 		for j := 0; j < nLayer; j++ {
 			w, err := f64()
 			if err != nil {
@@ -288,6 +295,115 @@ func LoadEvalCache(r io.Reader) (*EvalCache, error) {
 	// loaded cache reports only what happens after the load.
 	c.SigmaHits, c.SigmaMisses, c.Evictions = 0, 0, 0
 	return c, nil
+}
+
+// VerifyEvalCache checks that b is a stream LoadEvalCache accepts,
+// without building the cache: it walks every count and length of the
+// stream in place and allocates nothing. It rejects exactly the streams
+// LoadEvalCache rejects — a bad magic or version, a count over the
+// limit, a length past the end of b, a duplicate stash key, more than
+// the stash bound of stashed layers — and, like LoadEvalCache, ignores
+// bytes after the last layer. Stores that only route or address a
+// persisted cache use it as their admission check; the receiver that
+// installs the cache still runs LoadEvalCache.
+func VerifyEvalCache(b []byte) error {
+	le := binary.LittleEndian
+	pos := 0
+	// skip advances past n elements of size bytes each, failing when b
+	// does not hold them.
+	skip := func(n, size int) error {
+		if n > (len(b)-pos)/size {
+			return fmt.Errorf("%w: truncated at byte %d", io.ErrUnexpectedEOF, pos)
+		}
+		pos += n * size
+		return nil
+	}
+	u64 := func() (uint64, error) {
+		if len(b)-pos < 8 {
+			return 0, fmt.Errorf("%w: truncated at byte %d", io.ErrUnexpectedEOF, pos)
+		}
+		v := le.Uint64(b[pos:])
+		pos += 8
+		return v, nil
+	}
+	count := func() (int, error) {
+		v, err := u64()
+		if err != nil {
+			return 0, err
+		}
+		if v > cacheMaxCount {
+			return 0, fmt.Errorf("%w: count %d exceeds limit", ErrCacheFormat, v)
+		}
+		return int(v), nil
+	}
+	if len(b) < 8 {
+		return fmt.Errorf("%w: truncated header", io.ErrUnexpectedEOF)
+	}
+	if magic := le.Uint32(b); magic != cacheMagic {
+		return fmt.Errorf("%w: bad magic %#x", ErrCacheFormat, magic)
+	}
+	if version := le.Uint32(b[4:]); version != cacheVersion {
+		return fmt.Errorf("%w: unsupported version %d", ErrCacheFormat, version)
+	}
+	pos = 8
+	if _, err := u64(); err != nil { // MaxEntries: any value loads
+		return err
+	}
+	nBasis, err := count()
+	if err != nil {
+		return err
+	}
+	for i := 0; i < nBasis; i++ {
+		if err := skip(1, 8); err != nil { // ω
+			return err
+		}
+		klen, err := count()
+		if err != nil {
+			return err
+		}
+		if err := skip(klen, 16); err != nil {
+			return err
+		}
+	}
+	for _, size := range []int{16, 8} { // σ layer (ω, σ) pairs, then hot seeds
+		n, err := count()
+		if err != nil {
+			return err
+		}
+		if err := skip(n, size); err != nil {
+			return err
+		}
+	}
+	nStash, err := count()
+	if err != nil {
+		return err
+	}
+	if nStash > maxSigmaStash {
+		// LoadEvalCache fails such a stream too — on truncation, on a
+		// duplicate key or on the bound after the last layer.
+		return fmt.Errorf("%w: %d stashed layers exceeds limit", ErrCacheFormat, nStash)
+	}
+	var keys [maxSigmaStash]uint64
+	for i := 0; i < nStash; i++ {
+		key, err := u64()
+		if err != nil {
+			return err
+		}
+		nLayer, err := count()
+		if err != nil {
+			return err
+		}
+		if err := skip(nLayer, 16); err != nil {
+			return err
+		}
+		for _, k := range keys[:i] {
+			if k == key {
+				return fmt.Errorf("%w: duplicate stash key %016x", ErrCacheFormat, key)
+			}
+		}
+		keys[i] = key
+	}
+	return nil
 }
 
 // sortedBasisFreqs is a test hook: the resident basis frequencies in

@@ -2,7 +2,9 @@ package passivity
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -117,5 +119,80 @@ func TestEvalCacheLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadEvalCache(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated stream loaded without error")
+	}
+}
+
+// TestVerifyEvalCacheMatchesLoad pins VerifyEvalCache to LoadEvalCache:
+// on intact, truncated, extended and corrupted streams the walk must
+// accept exactly what the loader accepts.
+func TestVerifyEvalCacheMatchesLoad(t *testing.T) {
+	c, _ := primeCache(t)
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	// The primed cache parks nothing, so its stream ends with a zero stash
+	// count; rewrite that tail into stashed layers under chosen keys.
+	base := buf.Bytes()[:buf.Len()-8]
+	withStash := func(keys ...uint64) []byte {
+		b := le.AppendUint64(append([]byte(nil), base...), uint64(len(keys)))
+		for _, k := range keys {
+			b = le.AppendUint64(b, k)
+			b = le.AppendUint64(b, 1) // one (ω, σ) pair
+			b = le.AppendUint64(b, math.Float64bits(1e3))
+			b = le.AppendUint64(b, math.Float64bits(0.5))
+		}
+		return b
+	}
+	agree := func(what string, b []byte) bool {
+		t.Helper()
+		_, loadErr := LoadEvalCache(bytes.NewReader(b))
+		verifyErr := VerifyEvalCache(b)
+		if (loadErr == nil) != (verifyErr == nil) {
+			t.Errorf("%s: LoadEvalCache err=%v, VerifyEvalCache err=%v", what, loadErr, verifyErr)
+		}
+		return loadErr == nil
+	}
+
+	valid := withStash(1, 2)
+	if !agree("intact", valid) {
+		t.Fatal("intact stream rejected")
+	}
+	if !agree("trailing bytes", append(append([]byte(nil), valid...), 1, 2, 3)) {
+		t.Fatal("trailing bytes after the last layer rejected")
+	}
+	for n := 0; n < len(valid); n++ {
+		if agree("truncated", valid[:n]) {
+			t.Fatalf("stream truncated to %d of %d bytes accepted", n, len(valid))
+		}
+	}
+	if agree("duplicate stash key", withStash(1, 2, 1)) {
+		t.Fatal("duplicate stash key accepted")
+	}
+	keys := make([]uint64, maxSigmaStash+1)
+	for i := range keys {
+		keys[i] = uint64(100 + i)
+	}
+	if !agree("stash at bound", withStash(keys[:maxSigmaStash]...)) {
+		t.Fatal("stash at its bound rejected")
+	}
+	if agree("stash over bound", withStash(keys...)) {
+		t.Fatal("stash past its bound accepted")
+	}
+	over := append([]byte(nil), valid...)
+	le.PutUint64(over[16:], cacheMaxCount+1) // basis count
+	if agree("basis count over limit", over) {
+		t.Fatal("over-limit count accepted")
+	}
+	// Single-byte corruption across the header and the stash tail, and
+	// strided through the basis layer.
+	for i := 0; i < len(valid); i++ {
+		if i >= 256 && i < len(valid)-512 && i%97 != 0 {
+			continue
+		}
+		b := append([]byte(nil), valid...)
+		b[i] ^= 0xff
+		agree("corrupted", b)
 	}
 }

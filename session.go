@@ -788,16 +788,23 @@ func (s *Session) loadCacheFile(path string) error {
 
 // CacheBlobFingerprint validates a serialized evaluation cache — the
 // bytes of a SaveCache file or an ExportCache blob — and returns the
-// pole-set fingerprint it belongs to. The whole blob is verified (magic,
-// version, CRC-64 footer, fingerprint consistency) before anything is
-// trusted, so transports and content-addressed stores can use it as the
-// admission check that quarantines corrupt cache transfers.
+// pole-set fingerprint it belongs to. It accepts exactly the blobs
+// ImportCache accepts: magic, version and the CRC-64 footer are checked
+// in one pass, the fingerprint against the poles section, and the
+// evaluation-cache payload is walked in place (counts, lengths, stash
+// keys and bound) without building the cache. Transports and
+// content-addressed stores use it as the admission check that
+// quarantines corrupt cache transfers; the footer of an accepted blob is
+// its verified CRC-64.
 func CacheBlobFingerprint(blob []byte) (uint64, error) {
-	e, err := parseSessionCacheBlob(blob)
+	fp, payload, err := checkSessionCacheBlob(blob)
 	if err != nil {
 		return 0, err
 	}
-	return e.poleFP, nil
+	if err := passivity.VerifyEvalCache(payload); err != nil {
+		return 0, err
+	}
+	return fp, nil
 }
 
 // ExportCache serializes the session's resident evaluation cache for the
@@ -880,24 +887,25 @@ func (s *Session) installCacheEntry(e *sessionCache) {
 	s.evictLocked()
 }
 
-// parseSessionCacheBlob decodes and fully validates one serialized cache
-// (the SaveCache file format): magic, version, whole-blob CRC-64 footer,
-// then the payload, with the pole fingerprint cross-checked against the
-// poles actually read.
-func parseSessionCacheBlob(blob []byte) (*sessionCache, error) {
+// checkSessionCacheBlob validates the framing of one serialized cache
+// (the SaveCache file format): magic, version, the whole-blob CRC-64
+// footer, and a poles section whose fingerprint matches the header. It
+// returns that fingerprint and the evaluation-cache payload after the
+// poles, without decoding either.
+func checkSessionCacheBlob(blob []byte) (fp uint64, payload []byte, err error) {
 	const headBytes, footBytes = 4 * 8, 8
 	if len(blob) < headBytes+footBytes {
-		return nil, fmt.Errorf("truncated cache file (%d bytes)", len(blob))
+		return 0, nil, fmt.Errorf("truncated cache file (%d bytes)", len(blob))
 	}
 	var head [4]uint64
 	for i := range head {
 		head[i] = binary.LittleEndian.Uint64(blob[i*8:])
 	}
 	if head[0]>>32 != sessionCacheMagic {
-		return nil, fmt.Errorf("bad magic %#x", head[0]>>32)
+		return 0, nil, fmt.Errorf("bad magic %#x", head[0]>>32)
 	}
 	if v := head[0] & 0xffffffff; v != sessionCacheVersion {
-		return nil, fmt.Errorf("unsupported version %d", v)
+		return 0, nil, fmt.Errorf("unsupported version %d", v)
 	}
 	// The footer CRC covers every byte before it; verify before parsing
 	// anything, so corruption is one deterministic error instead of
@@ -905,29 +913,52 @@ func parseSessionCacheBlob(blob []byte) (*sessionCache, error) {
 	body := blob[:len(blob)-footBytes]
 	want := binary.LittleEndian.Uint64(blob[len(blob)-footBytes:])
 	if got := crc64.Checksum(body, sessionCacheCRC); got != want {
-		return nil, fmt.Errorf("checksum mismatch (file %016x, computed %016x)", want, got)
+		return 0, nil, fmt.Errorf("checksum mismatch (file %016x, computed %016x)", want, got)
 	}
-	r := bytes.NewReader(body[headBytes:])
 	nPoles := head[3]
 	if nPoles > 1<<20 {
-		return nil, fmt.Errorf("implausible pole count %d", nPoles)
+		return 0, nil, fmt.Errorf("implausible pole count %d", nPoles)
 	}
-	poles := make([]complex128, nPoles)
-	if err := binary.Read(r, binary.LittleEndian, poles); err != nil {
+	rest := body[headBytes:]
+	if uint64(len(rest)) < 16*nPoles {
+		return 0, nil, fmt.Errorf("truncated poles section (%d poles, %d bytes)", nPoles, len(rest))
+	}
+	// poleFingerprint folds each pole's real and imaginary bit patterns,
+	// which are exactly the section's little-endian words.
+	fp = uint64(fnvOffset)
+	for i := uint64(0); i < 2*nPoles; i++ {
+		fp = fnvMix(fp, binary.LittleEndian.Uint64(rest[8*i:]))
+	}
+	if fp != head[1] {
+		return 0, nil, fmt.Errorf("pole fingerprint mismatch (file %016x, poles %016x)", head[1], fp)
+	}
+	return fp, rest[16*nPoles:], nil
+}
+
+// parseSessionCacheBlob decodes and fully validates one serialized cache:
+// the framing checks of checkSessionCacheBlob, then the poles and the
+// evaluation-cache payload.
+func parseSessionCacheBlob(blob []byte) (*sessionCache, error) {
+	fp, payload, err := checkSessionCacheBlob(blob)
+	if err != nil {
 		return nil, err
 	}
-	if fp := poleFingerprint(poles); fp != head[1] {
-		return nil, fmt.Errorf("pole fingerprint mismatch (file %016x, poles %016x)", head[1], fp)
+	section := blob[4*8 : len(blob)-8-len(payload)]
+	poles := make([]complex128, len(section)/16)
+	for i := range poles {
+		poles[i] = complex(
+			math.Float64frombits(binary.LittleEndian.Uint64(section[16*i:])),
+			math.Float64frombits(binary.LittleEndian.Uint64(section[16*i+8:])))
 	}
-	cache, err := passivity.LoadEvalCache(r)
+	cache, err := passivity.LoadEvalCache(bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
 	return &sessionCache{
 		cache:  cache,
 		poles:  poles,
-		poleFP: head[1],
-		resFP:  head[2],
+		poleFP: fp,
+		resFP:  binary.LittleEndian.Uint64(blob[2*8:]),
 		bytes:  cacheBytes(cache, len(poles)),
 		basisN: cache.BasisEntries(),
 		sigmaN: cache.SigmaEntries() + cache.StashedSigmaEntries(),
