@@ -107,7 +107,7 @@ func BenchmarkFig6FinalModelEval(b *testing.B) {
 // BenchmarkAblationWeightOrder compares weight model orders: the cost of
 // building the weighted Gramian and running one weighted enforcement with
 // n_w ∈ {2, 8}. Low-order weights are cheaper but resolve the sensitivity
-// shape worse (see EXPERIMENTS.md).
+// shape worse (Fig. 3 of cmd/experiments plots the sensitivity shape).
 func BenchmarkAblationWeightOrder2(b *testing.B) { ablationWeightOrder(b, 2) }
 
 // BenchmarkAblationWeightOrder8 is the paper's n_w = 8 configuration.

@@ -1,12 +1,12 @@
 // Command experiments regenerates the paper's evaluation figures (§IV,
 // Figs. 1–6) on the synthetic 45-port PDN testcase, plus the extension
-// experiments Ext-A..Ext-H (representation independence, transient
-// verification, MOR baseline, enforcement ablation, adaptive
-// characterization, batch enforcement, closed-form weighted Gramian,
-// certified enforcement escape rate), printing the shape metrics recorded
-// in EXPERIMENTS.md and writing one CSV per figure.
+// experiments Ext-A..Ext-D (representation independence, transient
+// verification, MOR baseline, enforcement ablation), printing their shape
+// metrics and writing one CSV per figure.
 //
-// The promoted hypothesis harness lives behind subcommands:
+// The engine claims of Ext-E..Ext-H (adaptive characterization, batch
+// enforcement, closed-form weighted Gramian, certified enforcement) are
+// hypotheses, judged and recorded as FINDINGS under results/findings:
 //
 //	experiments list                     show registered hypotheses
 //	experiments run [-out dir] [id ...]  evaluate hypotheses, write FINDINGS
@@ -14,7 +14,7 @@
 //
 // Legacy figure mode (no subcommand):
 //
-//	experiments [-fig all|figs|ext|1|..|6|A|..|H] [-out dir] [-points N] [-poles N] [-quick]
+//	experiments [-fig all|figs|ext|1..6|A..D] [-out dir] [-points N] [-poles N] [-quick]
 package main
 
 import (
@@ -156,11 +156,10 @@ func runFigures() int {
 	run := map[string]func() (*experiments.FigResult, error){
 		"1": ctx.Fig1, "2": ctx.Fig2, "3": ctx.Fig3,
 		"4": ctx.Fig4, "5": ctx.Fig5, "6": ctx.Fig6,
-		"A": ctx.ExtA, "B": ctx.ExtB, "C": ctx.ExtC, "D": ctx.ExtD, "E": ctx.ExtE,
-		"F": ctx.ExtF, "G": ctx.ExtG, "H": ctx.ExtH,
+		"A": ctx.ExtA, "B": ctx.ExtB, "C": ctx.ExtC, "D": ctx.ExtD,
 	}
 	figOrder := []string{"1", "2", "3", "4", "5", "6"}
-	extOrder := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
+	extOrder := []string{"A", "B", "C", "D"}
 
 	var keys []string
 	switch strings.ToLower(*fig) {
@@ -173,7 +172,7 @@ func runFigures() int {
 	default:
 		k := strings.ToUpper(*fig)
 		if _, ok := run[k]; !ok {
-			fmt.Fprintf(os.Stderr, "experiments: bad -fig %q (want all, figs, ext, 1..6 or A..G)\n", *fig)
+			fmt.Fprintf(os.Stderr, "experiments: bad -fig %q (want all, figs, ext, 1..6 or A..D)\n", *fig)
 			return 2
 		}
 		keys = []string{k}

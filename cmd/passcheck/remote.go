@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -34,13 +33,11 @@ type remoteRun struct {
 	base string
 	cli  *http.Client
 	// retries is the max attempts per request (>= 1); waitBase is the
-	// first backoff step, doubled per attempt and capped at waitMax.
+	// first backoff step, doubled per attempt and capped at waitMax
+	// (serve.Backoff).
 	retries  int
 	waitBase time.Duration
 	waitMax  time.Duration
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // httpError is a non-2xx daemon response: the status, the daemon's error
@@ -75,26 +72,14 @@ func retryableRemote(err error) bool {
 // exactly like a daemon's delta-seconds.
 func parseRetryAfter(v string) time.Duration { return serve.ParseRetryAfter(v) }
 
-// backoff computes the wait before retry number attempt (1-based): the
-// daemon's Retry-After hint when it gave one, otherwise waitBase doubled
-// per attempt, capped at waitMax — always with jitter so a fleet of
-// clients does not re-dogpile a recovering daemon in lockstep.
-func (r *remoteRun) backoff(attempt int, err error) time.Duration {
-	d := r.waitBase << (attempt - 1)
-	if d > r.waitMax || d <= 0 {
-		d = r.waitMax
-	}
+// retryHint extracts the daemon's Retry-After hint from a failed
+// request (0 when it gave none) for serve.Backoff.
+func retryHint(err error) time.Duration {
 	var he *httpError
-	if errors.As(err, &he) && he.retryAfter > 0 {
-		d = he.retryAfter
-		if d > 30*time.Second {
-			d = 30 * time.Second
-		}
+	if errors.As(err, &he) {
+		return he.retryAfter
 	}
-	r.rngMu.Lock()
-	jittered := d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
-	r.rngMu.Unlock()
-	return jittered
+	return 0
 }
 
 // post submits one job, retrying retryable failures with backoff until
@@ -113,7 +98,7 @@ func (r *remoteRun) post(endpoint string, req *serve.Request) (*serve.Response, 
 			return nil, err
 		}
 		select {
-		case <-time.After(r.backoff(attempt, err)):
+		case <-time.After(serve.Backoff(attempt, r.waitBase, r.waitMax, retryHint(err))):
 		case <-r.ctx.Done():
 			return nil, err
 		}
@@ -196,7 +181,6 @@ func runRemote(ctx context.Context, base, modelPath, batch string, method string
 	r := &remoteRun{
 		ctx: ctx, base: base, cli: &http.Client{},
 		retries: retries, waitBase: retryWait, waitMax: 5 * time.Second,
-		rng: rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	endpoint := "/v1/check"
 	if enforce {

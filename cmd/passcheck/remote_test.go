@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,7 +23,6 @@ func testClient(t *testing.T, base string, retries int) *remoteRun {
 	return &remoteRun{
 		ctx: context.Background(), base: base, cli: &http.Client{},
 		retries: retries, waitBase: time.Millisecond, waitMax: 5 * time.Millisecond,
-		rng: rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -183,13 +181,12 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-// backoff grows exponentially from waitBase, is capped at waitMax, stays
-// positive (jitter never zeroes it out), and yields to the daemon's
-// Retry-After hint.
+// The client's backoff (serve.Backoff) grows exponentially from
+// waitBase, is capped at waitMax, stays positive (jitter never zeroes it
+// out), and yields to the daemon's Retry-After hint.
 func TestBackoffSchedule(t *testing.T) {
 	r := &remoteRun{
 		waitBase: 100 * time.Millisecond, waitMax: time.Second,
-		rng: rand.New(rand.NewSource(7)),
 	}
 	plain := errors.New("conn reset")
 	for attempt := 1; attempt <= 8; attempt++ {
@@ -198,7 +195,7 @@ func TestBackoffSchedule(t *testing.T) {
 			ideal = r.waitMax
 		}
 		for i := 0; i < 32; i++ {
-			d := r.backoff(attempt, plain)
+			d := serve.Backoff(attempt, r.waitBase, r.waitMax, retryHint(plain))
 			if d < ideal/2 || d > ideal {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, ideal/2, ideal)
 			}
@@ -206,7 +203,7 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 	hinted := &httpError{status: 429, retryAfter: 3 * time.Second}
 	for i := 0; i < 32; i++ {
-		if d := r.backoff(1, hinted); d < 1500*time.Millisecond || d > 3*time.Second {
+		if d := serve.Backoff(1, r.waitBase, r.waitMax, retryHint(hinted)); d < 1500*time.Millisecond || d > 3*time.Second {
 			t.Fatalf("Retry-After hint ignored: backoff %v", d)
 		}
 	}

@@ -30,12 +30,14 @@ type AgentOptions struct {
 	// Client overrides the HTTP client (default: no-timeout client; the
 	// coordinator bounds the lease long-poll itself).
 	Client *http.Client
-	// RetryBase and RetryMax bound the backoff after coordinator errors
-	// (defaults 100ms and 2s; a Retry-After hint overrides the schedule).
-	RetryBase time.Duration
-	// RetryMax caps the doubled backoff steps.
-	RetryMax time.Duration
 }
+
+// The agent's backoff after coordinator errors (serve.Backoff): the first
+// step and the cap of the doubled steps.
+const (
+	retryBase = 100 * time.Millisecond
+	retryMax  = 2 * time.Second
+)
 
 // Agent is one cluster worker host: an embedded serve.Server — worker
 // pool, supervision, retry, cache persistence, everything the single-host
@@ -67,12 +69,6 @@ func NewAgent(srv *serve.Server, opts AgentOptions) (*Agent, error) {
 	}
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = srv.Workers()
-	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 100 * time.Millisecond
-	}
-	if opts.RetryMax <= 0 {
-		opts.RetryMax = 2 * time.Second
 	}
 	cli := opts.Client
 	if cli == nil {
@@ -138,7 +134,7 @@ func (a *Agent) join(seenGen int) error {
 			err = fmt.Errorf("cluster: join: HTTP %d", status)
 		}
 		select {
-		case <-time.After(a.backoff(attempt, 0)):
+		case <-time.After(serve.Backoff(attempt, retryBase, retryMax, 0)):
 		case <-a.ctx.Done():
 			return fmt.Errorf("cluster: joining %s: %w (last: %v)", a.opts.Coordinator, a.ctx.Err(), err)
 		}
@@ -156,19 +152,6 @@ func (a *Agent) catalog() []string {
 		out[i] = fmt.Sprintf("%016x", fp)
 	}
 	return out
-}
-
-// backoff doubles RetryBase per attempt, capped at RetryMax; a positive
-// hint (a parsed Retry-After) overrides the schedule.
-func (a *Agent) backoff(attempt int, hint time.Duration) time.Duration {
-	if hint > 0 {
-		return hint
-	}
-	d := a.opts.RetryBase << (attempt - 1)
-	if d > a.opts.RetryMax || d <= 0 {
-		d = a.opts.RetryMax
-	}
-	return d
 }
 
 // post sends one JSON request, decoding the body into out when non-nil
@@ -264,7 +247,7 @@ func (a *Agent) leaseLoop() {
 		// Connection trouble or an unexpected status: back off and retry.
 		errs++
 		select {
-		case <-time.After(a.backoff(errs, 0)):
+		case <-time.After(serve.Backoff(errs, retryBase, retryMax, 0)):
 		case <-a.ctx.Done():
 			return
 		}
@@ -284,9 +267,12 @@ func (a *Agent) execute(lease *LeaseResponse) {
 		a.mu.Unlock()
 	}()
 
+	fp, _ := strconv.ParseUint(lease.Fingerprint, 16, 64)
 	if lease.CacheAddr != "" {
 		if blob := a.fetchCache(lease.CacheAddr); blob != nil {
-			a.srv.ImportCache(blob) // corrupt-in-flight = cold start; import validated it away
+			// The lease's fingerprint routes the blob; the import is its one
+			// check (corrupt-in-flight = cold start).
+			a.srv.ImportCache(fp, blob)
 		}
 	}
 
@@ -299,10 +285,8 @@ func (a *Agent) execute(lease *LeaseResponse) {
 		// upload the (now warm) cache so it can ship it to whichever host
 		// the fingerprint lands on next. ErrNoCache and busy holders just
 		// mean no upload this round.
-		if fp, err := strconv.ParseUint(lease.Fingerprint, 16, 64); err == nil {
-			if blob, err := a.srv.ExportCache(fp); err == nil {
-				comp.Cache = blob
-			}
+		if blob, err := a.srv.ExportCache(fp); err == nil {
+			comp.Cache = blob
 		}
 	}
 
@@ -328,7 +312,7 @@ func (a *Agent) execute(lease *LeaseResponse) {
 			return
 		}
 		select {
-		case <-time.After(a.backoff(attempt, 0)):
+		case <-time.After(serve.Backoff(attempt, retryBase, retryMax, 0)):
 		case <-a.ctx.Done():
 			return
 		}
@@ -346,9 +330,9 @@ func (a *Agent) runLeased(lease *LeaseResponse) (serve.Response, int) {
 	if err != nil {
 		return serve.Response{Error: err.Error()}, http.StatusBadRequest
 	}
-	kind := serve.JobCheck
-	if lease.Kind == "enforce" {
-		kind = serve.JobEnforce
+	kind, err := serve.ParseJobKind(lease.Kind)
+	if err != nil {
+		return serve.Response{Error: err.Error()}, http.StatusBadRequest
 	}
 	job := &serve.Job{
 		Kind:     kind,

@@ -484,7 +484,7 @@ func TestClusterStealing(t *testing.T) {
 		items[i] = it
 	}
 	c.mu.Lock()
-	placed := c.placement[fp]
+	placed, _ := c.placement.Owner(fp)
 	queueLen := len(c.members[placed].queue)
 	c.mu.Unlock()
 	if queueLen != len(models) {
@@ -500,7 +500,7 @@ func TestClusterStealing(t *testing.T) {
 		t.Fatal("idle peer's lease was not marked stolen")
 	}
 	c.mu.Lock()
-	newPlace := c.placement[fp]
+	newPlace, _ := c.placement.Owner(fp)
 	c.mu.Unlock()
 	if newPlace != thief {
 		t.Fatalf("placement stayed on %s after the steal, want %s", newPlace, thief)

@@ -5,13 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	repro "repro"
+	"repro/internal/placement"
 	"repro/internal/serve"
 )
 
@@ -27,17 +29,17 @@ var (
 	ErrUnknownWorker = errors.New("cluster: unknown or lost worker")
 )
 
-// PlacementPolicy selects how the coordinator places admitted items.
-type PlacementPolicy int
+// PlacementPolicy selects how the coordinator places admitted items — the
+// shared placement.Policy: PlaceAffinity (the default) follows the
+// cluster-wide placement map and member catalogs; PlaceRandom, the control
+// arm of BenchmarkClusterAffinityPlacement, draws a uniformly random live
+// member.
+type PlacementPolicy = placement.Policy
 
+// Placement policies.
 const (
-	// PlaceAffinity (the default) follows the cluster-wide
-	// pole-fingerprint placement map and member catalogs, falling back to
-	// the least-loaded member.
-	PlaceAffinity PlacementPolicy = iota
-	// PlaceRandom places every item on a uniformly random live member —
-	// the control arm of BenchmarkClusterAffinityPlacement.
-	PlaceRandom
+	PlaceAffinity = placement.Affinity
+	PlaceRandom   = placement.Random
 )
 
 // Options configures NewCoordinator.
@@ -128,10 +130,9 @@ type Coordinator struct {
 	members   map[string]*member
 	items     map[int64]*item
 	nextItem  int64
-	placement map[uint64]string
-	pending   int // admitted, not yet done
+	placement *placement.Table[string] // fingerprint → member name
+	pending   int                      // admitted, not yet done
 	closed    bool
-	rng       *rand.Rand
 
 	// notify is closed, and replaced, whenever work arrives (wakeLocked):
 	// every lease long-poll blocked on the channel it observed wakes and
@@ -164,21 +165,21 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.CacheBudget <= 0 {
 		opts.CacheBudget = 256 << 20
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	c := &Coordinator{
-		opts:      opts,
-		met:       newClusterMetrics(),
-		store:     newCacheStore(opts.CacheBudget),
-		members:   make(map[string]*member),
-		items:     make(map[int64]*item),
-		placement: make(map[uint64]string),
-		rng:       rand.New(rand.NewSource(seed)),
-		notify:    make(chan struct{}),
-		stop:      make(chan struct{}),
+		opts:    opts,
+		met:     newClusterMetrics(),
+		store:   newCacheStore(opts.CacheBudget),
+		members: make(map[string]*member),
+		items:   make(map[int64]*item),
+		notify:  make(chan struct{}),
+		stop:    make(chan struct{}),
 	}
+	// A member's catalog is the warm placement tier and what a full
+	// placement table keeps.
+	c.placement = placement.New(opts.Placement, opts.Seed, 0, func(name string, fp uint64) bool {
+		m := c.members[name]
+		return m != nil && !m.lost && m.catalog[fp]
+	})
 	c.wg.Add(1)
 	go c.sweeper()
 	return c
@@ -241,7 +242,7 @@ func (c *Coordinator) Submit(kind serve.JobKind, model json.RawMessage, check se
 		return nil, ErrClosed
 	}
 	if c.pending >= c.opts.MaxPending {
-		c.met.rejected()
+		c.met.add(&c.met.rejectedTotal, 1)
 		return nil, ErrTooManyPending
 	}
 	c.nextItem++
@@ -258,23 +259,25 @@ func (c *Coordinator) Submit(kind serve.JobKind, model json.RawMessage, check se
 	}
 	c.items[it.id] = it
 	c.pending++
-	c.met.submitted()
+	c.met.add(&c.met.submittedTotal, 1)
 	c.enqueueLocked(it, "", false)
 	return it, nil
 }
 
-// enqueueLocked places a pending item on a member queue (never the
-// excluded one) and wakes a poller. With no live member the item simply
+// enqueueLocked places a pending item on a member queue by the shared
+// placement policy — never the excluded member, the host a requeued item
+// just died on — and wakes a poller. With no live member the item simply
 // stays unplaced in the ledger; the next join re-places it.
 func (c *Coordinator) enqueueLocked(it *item, exclude string, front bool) {
 	it.state = statePending
 	it.holder = ""
-	m := c.placeLocked(it.fp, exclude)
-	if m == nil {
+	name, _, ok := c.placement.Place(it.fp, c.candidatesLocked(exclude))
+	if !ok {
 		// No live member can take it: park it; joinLocked re-places
 		// parked items when a host arrives.
 		return
 	}
+	m := c.members[name]
 	if front {
 		m.queue = append([]*item{it}, m.queue...)
 	} else {
@@ -290,59 +293,18 @@ func (c *Coordinator) wakeLocked() {
 	c.notify = make(chan struct{})
 }
 
-// placeLocked picks the member for a fingerprint: the recorded placement,
-// then any member whose catalog holds the fingerprint warm, then the
-// least-loaded live member (uniform random under PlaceRandom). The
-// excluded member — the host a requeued item just died on — is never
-// chosen. Returns nil when no eligible live member exists.
-func (c *Coordinator) placeLocked(fp uint64, exclude string) *member {
-	eligible := func(m *member) bool { return m != nil && !m.lost && m.name != exclude }
-	if c.opts.Placement == PlaceRandom {
-		var live []*member
-		for _, m := range c.members {
-			if eligible(m) {
-				live = append(live, m)
-			}
-		}
-		if len(live) == 0 {
-			return nil
-		}
-		// Map iteration order is random but not seeded; sort by name for
-		// a reproducible draw under a fixed Seed.
-		sortMembers(live)
-		return live[c.rng.Intn(len(live))]
-	}
-	if name, ok := c.placement[fp]; ok {
-		if m := c.members[name]; eligible(m) {
-			return m
+// candidatesLocked lists the live members except the excluded one, with
+// their loads, in name order: map iteration order is random, and the name
+// order makes ties (and the seeded random draw) reproducible.
+func (c *Coordinator) candidatesLocked(exclude string) []placement.Candidate[string] {
+	var cands []placement.Candidate[string]
+	for name, m := range c.members {
+		if !m.lost && name != exclude {
+			cands = append(cands, placement.Candidate[string]{Owner: name, Load: int64(m.load())})
 		}
 	}
-	var best *member
-	for _, m := range c.members {
-		if eligible(m) && m.catalog[fp] && (best == nil || m.load() < best.load() || (m.load() == best.load() && m.name < best.name)) {
-			best = m
-		}
-	}
-	if best == nil {
-		for _, m := range c.members {
-			if eligible(m) && (best == nil || m.load() < best.load() || (m.load() == best.load() && m.name < best.name)) {
-				best = m
-			}
-		}
-	}
-	if best != nil {
-		c.placement[fp] = best.name
-	}
-	return best
-}
-
-// sortMembers orders members by name (deterministic random placement).
-func sortMembers(ms []*member) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].name < ms[j-1].name; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
+	slices.SortFunc(cands, func(a, b placement.Candidate[string]) int { return strings.Compare(a.Owner, b.Owner) })
+	return cands
 }
 
 // Join registers (or re-registers) a worker host. A re-join with a live
@@ -367,7 +329,7 @@ func (c *Coordinator) Join(req *JoinRequest) (*JoinResponse, error) {
 		lastSeen: time.Now(),
 	}
 	c.members[req.Name] = m
-	c.met.joined()
+	c.met.add(&c.met.joinsTotal, 1)
 	// Re-place items parked while no member was live (or queued on hosts
 	// that have since vanished).
 	for _, it := range c.items {
@@ -387,11 +349,7 @@ func (c *Coordinator) Join(req *JoinRequest) (*JoinResponse, error) {
 // requeue elsewhere, its catalog and placements are scrubbed.
 func (c *Coordinator) evictMemberLocked(m *member) {
 	m.lost = true
-	for fp, name := range c.placement {
-		if name == m.name {
-			delete(c.placement, fp)
-		}
-	}
+	c.placement.Forget(m.name)
 	queue := m.queue
 	m.queue = nil
 	for _, it := range queue {
@@ -403,7 +361,7 @@ func (c *Coordinator) evictMemberLocked(m *member) {
 		c.requeueLocked(it, m.name)
 	}
 	delete(c.members, m.name)
-	c.met.left()
+	c.met.add(&c.met.leavesTotal, 1)
 }
 
 // requeueLocked moves an item that died with its host back to pending on
@@ -418,7 +376,7 @@ func (c *Coordinator) requeueLocked(it *item, exclude string) {
 		return
 	}
 	if it.state == stateLeased {
-		c.met.requeued()
+		c.met.add(&c.met.requeuesTotal, 1)
 	}
 	// Requeued items go to the front: they have been waiting longest and
 	// their submitter is closest to a timeout.
@@ -429,7 +387,7 @@ func (c *Coordinator) requeueLocked(it *item, exclude string) {
 func (c *Coordinator) failLocked(it *item, status int, msg string) {
 	it.resp = serve.Response{Error: msg, Attempts: it.attempts, Fingerprint: fmt.Sprintf("%016x", it.fp)}
 	c.finishLocked(it, status)
-	c.met.failed()
+	c.met.add(&c.met.failedTotal, 1)
 }
 
 // finishLocked transitions an item to done and releases its waiter.
@@ -553,12 +511,10 @@ func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, <-chan struct
 			it = victim.queue[len(victim.queue)-1]
 			victim.queue = victim.queue[:len(victim.queue)-1]
 			stolen = true
-			c.met.stole()
-			if c.opts.Placement == PlaceAffinity {
-				// The placement map follows the thief so queued siblings
-				// of the fingerprint migrate with the cache.
-				c.placement[it.fp] = m.name
-			}
+			c.met.add(&c.met.stealsTotal, 1)
+			// The placement follows the thief so queued siblings of the
+			// fingerprint migrate with the cache.
+			c.placement.Record(it.fp, m.name)
 		}
 	}
 	if it == nil {
@@ -571,12 +527,15 @@ func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, <-chan struct
 	it.leaseExpiry = now.Add(c.opts.LeaseTTL)
 	it.stolen = stolen
 	m.leased[it.id] = it
-	c.met.leased(stolen, m.catalog[it.fp])
+	c.met.add(&c.met.leasesTotal, 1)
+	if m.catalog[it.fp] {
+		c.met.add(&c.met.warmLeasesTotal, 1)
+	}
 
 	resp := &LeaseResponse{
 		Item:        it.id,
 		Epoch:       it.epoch,
-		Kind:        kindName(it.kind),
+		Kind:        it.kind.String(),
 		Model:       it.model,
 		Check:       it.check,
 		Enforce:     it.enforce,
@@ -590,18 +549,10 @@ func (c *Coordinator) tryLease(req *LeaseRequest) (*LeaseResponse, <-chan struct
 		// this host lacks.
 		if addr := c.store.latestAddr(it.fp); addr != "" {
 			resp.CacheAddr = addr
-			c.met.shipped()
+			c.met.add(&c.met.cacheShipsTotal, 1)
 		}
 	}
 	return resp, nil, nil
-}
-
-// kindName maps a job kind to its wire name.
-func kindName(k serve.JobKind) string {
-	if k == serve.JobEnforce {
-		return "enforce"
-	}
-	return "check"
 }
 
 // Heartbeat renews a member's liveness and the leases of the items it
@@ -652,9 +603,9 @@ func (c *Coordinator) Complete(req *CompleteRequest) *CompleteResponse {
 	stored, upFP := false, uint64(0)
 	if len(req.Cache) > 0 {
 		if _, fp, err := c.store.put(req.Cache); err != nil {
-			c.met.quarantinedUpload()
+			c.met.add(&c.met.quarantinedUploads, 1)
 		} else {
-			c.met.cacheTransferred(len(req.Cache))
+			c.met.add(&c.met.cacheBytesTotal, int64(len(req.Cache)))
 			stored, upFP = true, fp
 		}
 	}
@@ -681,7 +632,7 @@ func (c *Coordinator) Complete(req *CompleteRequest) *CompleteResponse {
 		}
 	}
 	c.finishLocked(it, status)
-	c.met.completed(kindName(it.kind), status)
+	c.met.completed(it.kind.String(), status)
 	return &CompleteResponse{Accepted: true}
 }
 
@@ -692,10 +643,10 @@ func (c *Coordinator) checkCompletionLocked(req *CompleteRequest) *CompleteRespo
 	it := c.items[req.Item]
 	switch {
 	case it == nil:
-		c.met.duplicate()
+		c.met.add(&c.met.duplicatesTotal, 1)
 		return &CompleteResponse{Accepted: false, Reason: "unknown item"}
 	case it.state != stateLeased || it.epoch != req.Epoch || it.holder != req.Worker:
-		c.met.duplicate()
+		c.met.add(&c.met.duplicatesTotal, 1)
 		return &CompleteResponse{Accepted: false, Reason: "stale epoch"}
 	}
 	return nil
@@ -706,7 +657,7 @@ func (c *Coordinator) checkCompletionLocked(req *CompleteRequest) *CompleteRespo
 func (c *Coordinator) CacheBlob(addr string) []byte {
 	blob := c.store.get(addr)
 	if blob != nil {
-		c.met.cacheTransferred(len(blob))
+		c.met.add(&c.met.cacheBytesTotal, int64(len(blob)))
 	}
 	return blob
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,6 +26,17 @@ type clientRequest struct {
 	Enforce     serve.EnforceSpec `json:"enforce"`
 	DeadlineMS  int64             `json:"deadline_ms,omitempty"`
 	MaxAttempts int               `json:"max_attempts,omitempty"`
+}
+
+// Validate rejects a request without a model or with a malformed check
+// spec — before a worker burns a lease on it, exactly as the single-host
+// surface does.
+func (r *clientRequest) Validate() error {
+	if len(r.Model) == 0 {
+		return errors.New("request carries no model")
+	}
+	_, err := r.Check.CheckOptions()
+	return err
 }
 
 // encodeCompletion frames a completion for POST /cluster/v1/complete:
@@ -71,30 +83,18 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	}
 	switch n := r.ContentLength; {
 	case n < 0:
-		writeJSON(w, http.StatusLengthRequired, serve.Response{Error: "request needs a Content-Length"})
+		serve.WriteJSON(w, http.StatusLengthRequired, serve.Response{Error: "request needs a Content-Length"})
 		return nil, false
 	case n > maxBodyBytes:
-		writeJSON(w, http.StatusRequestEntityTooLarge, serve.Response{Error: fmt.Sprintf("request body of %d bytes exceeds %d", n, maxBodyBytes)})
+		serve.WriteJSON(w, http.StatusRequestEntityTooLarge, serve.Response{Error: fmt.Sprintf("request body of %d bytes exceeds %d", n, maxBodyBytes)})
 		return nil, false
 	}
 	body := make([]byte, r.ContentLength)
 	if _, err := io.ReadFull(r.Body, body); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: "reading request: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.Response{Error: "reading request: " + err.Error()})
 		return nil, false
 	}
 	return body, true
-}
-
-// writeJSON emits one JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		body, _ = json.Marshal(serve.Response{Error: "encoding response: " + err.Error()})
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
 }
 
 // Handler returns the coordinator's HTTP interface. The client surface is
@@ -123,32 +123,32 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("/cluster/v1/join", func(w http.ResponseWriter, r *http.Request) {
 		var req JoinRequest
-		if !decodePost(w, r, &req) {
+		if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 			return
 		}
 		resp, err := c.Join(&req)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/cluster/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if !decodePost(w, r, &req) {
+		if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 			return
 		}
 		resp, err := c.Lease(r.Context(), &req)
 		switch {
 		case err == ErrUnknownWorker:
 			// 410 tells the agent its registration is gone — re-join.
-			writeJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
 		case err != nil:
-			writeJSON(w, http.StatusServiceUnavailable, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Response{Error: err.Error()})
 		case resp == nil:
 			w.WriteHeader(http.StatusNoContent)
 		default:
-			writeJSON(w, http.StatusOK, resp)
+			serve.WriteJSON(w, http.StatusOK, resp)
 		}
 	})
 	mux.HandleFunc("/cluster/v1/complete", func(w http.ResponseWriter, r *http.Request) {
@@ -158,18 +158,18 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		req, err := decodeCompletion(body)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Complete(req))
+		serve.WriteJSON(w, http.StatusOK, c.Complete(req))
 	})
 	mux.HandleFunc("/cluster/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if !decodePost(w, r, &req) {
+		if !serve.DecodePost(w, r, &req, maxBodyBytes) {
 			return
 		}
 		if err := c.Heartbeat(&req); err != nil {
-			writeJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
+			serve.WriteJSON(w, http.StatusGone, serve.Response{Error: err.Error()})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -207,52 +207,24 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// decodePost enforces POST + JSON body, answering the error itself.
-func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: "decoding request: " + err.Error()})
-		return false
-	}
-	return true
-}
-
 // handleJob admits one client job to the ledger and waits for its result.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request, kind serve.JobKind) {
 	var req clientRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if len(req.Model) == 0 {
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: "request carries no model"})
-		return
-	}
-	// Fail malformed check specs here, before a worker burns a lease on
-	// them (the same validation the single-host handler does).
-	if _, err := req.Check.CheckOptions(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
-		return
-	}
-	it, err := c.Submit(kind, req.Model, req.Check, req.Enforce, req.DeadlineMS, req.MaxAttempts)
-	switch {
-	case err == ErrTooManyPending:
-		// RFC 9110 allows either form of Retry-After; the coordinator
-		// hints with an HTTP-date (the daemon hints with delta-seconds),
-		// so clients must parse both — serve.ParseRetryAfter does.
-		w.Header().Set("Retry-After", time.Now().Add(2*time.Second).UTC().Format(http.TimeFormat))
-		writeJSON(w, http.StatusTooManyRequests, serve.Response{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, serve.Response{Error: err.Error()})
+	var it *item
+	// RFC 9110 allows either form of Retry-After; the coordinator hints
+	// with an HTTP-date (the daemon hints with delta-seconds), so clients
+	// must parse both — serve.ParseRetryAfter does.
+	retryAt := time.Now().Add(2 * time.Second).UTC().Format(http.TimeFormat)
+	if !serve.AdmitJob(w, r, &req, maxBodyBytes, ErrTooManyPending, retryAt, func() error {
+		var err error
+		it, err = c.Submit(kind, req.Model, req.Check, req.Enforce, req.DeadlineMS, req.MaxAttempts)
+		return err
+	}) {
 		return
 	}
 	// The coordinator always finishes an admitted item (lease expiry and
 	// Close both fail it), so this wait cannot leak; a departed client
 	// just never reads the buffered result.
 	<-it.done
-	writeJSON(w, it.status, it.resp)
+	serve.WriteJSON(w, it.status, it.resp)
 }

@@ -3,8 +3,9 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
+
+	"repro/internal/serve"
 )
 
 // clusterMetrics aggregates the coordinator's operational counters,
@@ -37,42 +38,16 @@ func newClusterMetrics() *clusterMetrics {
 	return &clusterMetrics{completedTotal: make(map[string]int64)}
 }
 
-func (m *clusterMetrics) submitted() { m.bump(&m.submittedTotal) }
-func (m *clusterMetrics) rejected()  { m.bump(&m.rejectedTotal) }
-func (m *clusterMetrics) joined()    { m.bump(&m.joinsTotal) }
-func (m *clusterMetrics) left()      { m.bump(&m.leavesTotal) }
-func (m *clusterMetrics) stole()     { m.bump(&m.stealsTotal) }
-func (m *clusterMetrics) requeued()  { m.bump(&m.requeuesTotal) }
-func (m *clusterMetrics) duplicate() { m.bump(&m.duplicatesTotal) }
-func (m *clusterMetrics) failed()    { m.bump(&m.failedTotal) }
-func (m *clusterMetrics) shipped()   { m.bump(&m.cacheShipsTotal) }
-
-func (m *clusterMetrics) quarantinedUpload() { m.bump(&m.quarantinedUploads) }
-
-func (m *clusterMetrics) bump(c *int64) {
+// add bumps one counter under the registry lock.
+func (m *clusterMetrics) add(c *int64, n int64) {
 	m.mu.Lock()
-	*c++
-	m.mu.Unlock()
-}
-
-func (m *clusterMetrics) leased(stolen, warm bool) {
-	m.mu.Lock()
-	m.leasesTotal++
-	if warm {
-		m.warmLeasesTotal++
-	}
+	*c += n
 	m.mu.Unlock()
 }
 
 func (m *clusterMetrics) completed(kind string, status int) {
 	m.mu.Lock()
 	m.completedTotal[fmt.Sprintf("%s/%d", kind, status)]++
-	m.mu.Unlock()
-}
-
-func (m *clusterMetrics) cacheTransferred(n int) {
-	m.mu.Lock()
-	m.cacheBytesTotal += int64(n)
 	m.mu.Unlock()
 }
 
@@ -97,8 +72,7 @@ func (c *Coordinator) StealsTotal() int64 {
 	return c.met.stealsTotal
 }
 
-// writePrometheus renders the coordinator state in Prometheus text
-// format (hand-rolled — the module takes no dependencies).
+// writePrometheus renders the coordinator state on /metrics.
 func (c *Coordinator) writePrometheus(w io.Writer) {
 	c.mu.Lock()
 	membersLive := len(c.members)
@@ -116,43 +90,28 @@ func (c *Coordinator) writePrometheus(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_members Live worker hosts.\n# TYPE passivityd_cluster_members gauge\npassivityd_cluster_members %d\n", membersLive)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_leases_active Items currently leased to a host.\n# TYPE passivityd_cluster_leases_active gauge\npassivityd_cluster_leases_active %d\n", leasesActive)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_queue_depth Items queued on member queues.\n# TYPE passivityd_cluster_queue_depth gauge\npassivityd_cluster_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_pending Admitted-but-unfinished ledger items.\n# TYPE passivityd_cluster_pending gauge\npassivityd_cluster_pending %d\n", pending)
+	serve.WriteMetric(w, "passivityd_cluster_members", "gauge", "Live worker hosts.", membersLive)
+	serve.WriteMetric(w, "passivityd_cluster_leases_active", "gauge", "Items currently leased to a host.", leasesActive)
+	serve.WriteMetric(w, "passivityd_cluster_queue_depth", "gauge", "Items queued on member queues.", queueDepth)
+	serve.WriteMetric(w, "passivityd_cluster_pending", "gauge", "Admitted-but-unfinished ledger items.", pending)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_submitted_total Jobs admitted to the ledger.\n# TYPE passivityd_cluster_jobs_submitted_total counter\npassivityd_cluster_jobs_submitted_total %d\n", m.submittedTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_rejected_total Jobs rejected at admission (ledger full).\n# TYPE passivityd_cluster_jobs_rejected_total counter\npassivityd_cluster_jobs_rejected_total %d\n", m.rejectedTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_joins_total Worker host registrations.\n# TYPE passivityd_cluster_joins_total counter\npassivityd_cluster_joins_total %d\n", m.joinsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_leaves_total Worker hosts evicted (lost or re-joined).\n# TYPE passivityd_cluster_leaves_total counter\npassivityd_cluster_leaves_total %d\n", m.leavesTotal)
+	serve.WriteMetric(w, "passivityd_cluster_jobs_submitted_total", "counter", "Jobs admitted to the ledger.", m.submittedTotal)
+	serve.WriteMetric(w, "passivityd_cluster_jobs_rejected_total", "counter", "Jobs rejected at admission (ledger full).", m.rejectedTotal)
+	serve.WriteMetric(w, "passivityd_cluster_joins_total", "counter", "Worker host registrations.", m.joinsTotal)
+	serve.WriteMetric(w, "passivityd_cluster_leaves_total", "counter", "Worker hosts evicted (lost or re-joined).", m.leavesTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_leases_total Leases issued.\n# TYPE passivityd_cluster_leases_total counter\npassivityd_cluster_leases_total %d\n", m.leasesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_warm_leases_total Leases placed on a host already holding the fingerprint warm.\n# TYPE passivityd_cluster_warm_leases_total counter\npassivityd_cluster_warm_leases_total %d\n", m.warmLeasesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_steals_total Leases served by stealing from a peer's queue.\n# TYPE passivityd_cluster_steals_total counter\npassivityd_cluster_steals_total %d\n", m.stealsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_requeues_total Leased items requeued after lease expiry or host loss.\n# TYPE passivityd_cluster_requeues_total counter\npassivityd_cluster_requeues_total %d\n", m.requeuesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_duplicates_dropped_total Completions discarded for a stale epoch or unknown item.\n# TYPE passivityd_cluster_duplicates_dropped_total counter\npassivityd_cluster_duplicates_dropped_total %d\n", m.duplicatesTotal)
+	serve.WriteMetric(w, "passivityd_cluster_leases_total", "counter", "Leases issued.", m.leasesTotal)
+	serve.WriteMetric(w, "passivityd_cluster_warm_leases_total", "counter", "Leases placed on a host already holding the fingerprint warm.", m.warmLeasesTotal)
+	serve.WriteMetric(w, "passivityd_cluster_steals_total", "counter", "Leases served by stealing from a peer's queue.", m.stealsTotal)
+	serve.WriteMetric(w, "passivityd_cluster_requeues_total", "counter", "Leased items requeued after lease expiry or host loss.", m.requeuesTotal)
+	serve.WriteMetric(w, "passivityd_cluster_duplicates_dropped_total", "counter", "Completions discarded for a stale epoch or unknown item.", m.duplicatesTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_completed_total Results recorded, by kind and HTTP status.\n# TYPE passivityd_cluster_jobs_completed_total counter\n")
-	keys := make([]string, 0, len(m.completedTotal))
-	for k := range m.completedTotal {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		kind, status := k, ""
-		for i := range k {
-			if k[i] == '/' {
-				kind, status = k[:i], k[i+1:]
-				break
-			}
-		}
-		fmt.Fprintf(w, "passivityd_cluster_jobs_completed_total{kind=%q,status=%q} %d\n", kind, status, m.completedTotal[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_cluster_jobs_failed_total Items failed by the coordinator itself (attempts spent, shutdown).\n# TYPE passivityd_cluster_jobs_failed_total counter\npassivityd_cluster_jobs_failed_total %d\n", m.failedTotal)
+	serve.WriteFamily(w, "passivityd_cluster_jobs_completed_total", "counter", "Results recorded, by kind and HTTP status.", []string{"kind", "status"}, m.completedTotal)
+	serve.WriteMetric(w, "passivityd_cluster_jobs_failed_total", "counter", "Items failed by the coordinator itself (attempts spent, shutdown).", m.failedTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_cluster_quarantined_uploads_total Corrupt cache uploads quarantined at ingest.\n# TYPE passivityd_cluster_quarantined_uploads_total counter\npassivityd_cluster_quarantined_uploads_total %d\n", m.quarantinedUploads)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_ships_total Leases that carried a warm-cache address for the host to fetch.\n# TYPE passivityd_cluster_cache_ships_total counter\npassivityd_cluster_cache_ships_total %d\n", m.cacheShipsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_transfers_bytes_total Cache bytes moved through the store, uploads plus downloads.\n# TYPE passivityd_cluster_cache_transfers_bytes_total counter\npassivityd_cluster_cache_transfers_bytes_total %d\n", m.cacheBytesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_store_bytes Resident bytes in the content-addressed store.\n# TYPE passivityd_cluster_cache_store_bytes gauge\npassivityd_cluster_cache_store_bytes %d\n", storeBytes)
-	fmt.Fprintf(w, "# HELP passivityd_cluster_cache_store_blobs Resident blobs in the content-addressed store.\n# TYPE passivityd_cluster_cache_store_blobs gauge\npassivityd_cluster_cache_store_blobs %d\n", storeBlobs)
+	serve.WriteMetric(w, "passivityd_cluster_quarantined_uploads_total", "counter", "Corrupt cache uploads quarantined at ingest.", m.quarantinedUploads)
+	serve.WriteMetric(w, "passivityd_cluster_cache_ships_total", "counter", "Leases that carried a warm-cache address for the host to fetch.", m.cacheShipsTotal)
+	serve.WriteMetric(w, "passivityd_cluster_cache_transfers_bytes_total", "counter", "Cache bytes moved through the store, uploads plus downloads.", m.cacheBytesTotal)
+	serve.WriteMetric(w, "passivityd_cluster_cache_store_bytes", "gauge", "Resident bytes in the content-addressed store.", storeBytes)
+	serve.WriteMetric(w, "passivityd_cluster_cache_store_blobs", "gauge", "Resident blobs in the content-addressed store.", storeBlobs)
 }

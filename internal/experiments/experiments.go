@@ -1,7 +1,8 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (§IV) on the synthetic 45-port PDN testcase. Each FigN method returns the
-// plotted series plus the quantitative shape metrics recorded in
-// EXPERIMENTS.md, and can emit CSV files for external plotting.
+// plotted series plus its quantitative shape metrics, and can emit CSV
+// files for external plotting. Extensions adds Ext-A..Ext-D; the engine
+// claims Ext-E..Ext-H are the hypothesis specs of Hypotheses.
 //
 // The artifacts (dataset, fits, weights, enforced models) are built lazily
 // and shared across figures, mirroring the single flow of the paper:
@@ -13,7 +14,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -267,17 +267,3 @@ func worstRel(a, b []complex128, freqs []float64, sel func(f float64) bool) floa
 
 func lfBand(f float64) bool  { return f > 0 && f < 1e7 }
 func allBand(f float64) bool { return f > 0 }
-
-// fmtHz renders a frequency compactly.
-func fmtHz(f float64) string {
-	switch {
-	case f >= 1e9:
-		return fmt.Sprintf("%.3gGHz", f/1e9)
-	case f >= 1e6:
-		return fmt.Sprintf("%.3gMHz", f/1e6)
-	case f >= 1e3:
-		return fmt.Sprintf("%.3gkHz", f/1e3)
-	default:
-		return fmt.Sprintf("%.3gHz", f)
-	}
-}

@@ -115,8 +115,8 @@ func TestExtensionsRunAndHoldShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 8 {
-		t.Fatalf("expected 8 extension experiments, got %d", len(results))
+	if len(results) != 4 {
+		t.Fatalf("expected 4 extension experiments, got %d", len(results))
 	}
 	for _, r := range results {
 		if len(r.Series) == 0 || len(r.Metrics) == 0 {
@@ -163,54 +163,8 @@ func TestExtensionsRunAndHoldShape(t *testing.T) {
 		t.Fatalf("Ext-D shape violated: scaling (%v) should be worse than weighted QP (%v)",
 			extD.Metrics["z_err_lf_residue_scaling"], extD.Metrics["z_err_lf_weighted_qp"])
 	}
-
-	extE := results[4]
-	if extE.Metrics["verdict_agreement"] != 1 {
-		t.Fatalf("Ext-E: adaptive and sweep characterization disagree: %+v", extE.Metrics)
-	}
-	if extE.Metrics["enforced_passive"] != 1 {
-		t.Fatalf("Ext-E: adaptive-driven enforcement failed: %+v", extE.Metrics)
-	}
-	if extE.Metrics["adaptive_samples"] <= 0 || extE.Metrics["sweep_samples"] <= 0 {
-		t.Fatalf("Ext-E: missing sample accounting: %+v", extE.Metrics)
-	}
-
-	extF := results[5]
-	if extF.Metrics["bitwise_identical"] != 1 {
-		t.Fatalf("Ext-F: batch enforcement diverged from sequential: %+v", extF.Metrics)
-	}
-	if extF.Metrics["batch_passive"] != extF.Metrics["library_size"] || extF.Metrics["batch_failed"] != 0 {
-		t.Fatalf("Ext-F: library not fully enforced: %+v", extF.Metrics)
-	}
-	if extF.Metrics["batch_iterations"] != extF.Metrics["sequential_iters"] {
-		t.Fatalf("Ext-F: batch and sequential iteration counts differ: %+v", extF.Metrics)
-	}
-
-	extG := results[6]
-	if extG.Metrics["worst_rel_frobenius_err"] > 1e-10 {
-		t.Fatalf("Ext-G: closed form diverges from the dense oracle: %+v", extG.Metrics)
-	}
-	if extG.Metrics["batch_bitwise_vs_closed"] != 1 {
-		t.Fatalf("Ext-G: weighted batch diverged from sequential weighted enforcement: %+v", extG.Metrics)
-	}
-	if extG.Metrics["enforce_max_abs_s_dev"] > 1e-6 {
-		t.Fatalf("Ext-G: closed-cost and dense-cost enforcement disagree: %+v", extG.Metrics)
-	}
-
-	extH := results[7]
-	if extH.Metrics["escaped_certified"] != 0 {
-		t.Fatalf("Ext-H: certified enforcement let %v false passes escape: %+v",
-			extH.Metrics["escaped_certified"], extH.Metrics)
-	}
-	if extH.Metrics["escaped_uncertified"] == 0 {
-		t.Fatalf("Ext-H: the uncertified operating point produced no escapes — the experiment no longer measures anything: %+v", extH.Metrics)
-	}
-	if extH.Metrics["certified_models"] != extH.Metrics["library_size"] {
-		t.Fatalf("Ext-H: not every model came back with a full certificate: %+v", extH.Metrics)
-	}
-	if extH.Metrics["certified_rescues"] < extH.Metrics["escaped_uncertified"] {
-		t.Fatalf("Ext-H: fewer rescues than uncertified escapes — the pipeline is not catching the same bands: %+v", extH.Metrics)
-	}
+	// The Ext-E..Ext-H checks run as hypothesis specs (hypotheses.go):
+	// TestHypothesesDeterministicConfirm evaluates them.
 }
 
 func TestExtensionCSVEmission(t *testing.T) {

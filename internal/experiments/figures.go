@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/cmplx"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	repro "repro"
@@ -69,26 +71,13 @@ func (r *FigResult) WriteCSV(dir string) error {
 func (r *FigResult) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", r.Figure)
-	keys := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(r.Metrics)) {
 		fmt.Fprintf(&b, "  %-42s %.6g\n", k, r.Metrics[k])
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	return b.String()
-}
-
-func sortStrings(v []string) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // Fig1 — scattering responses of the STANDARD model vs raw data (paper

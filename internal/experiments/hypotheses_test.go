@@ -22,6 +22,7 @@ func TestHypothesesShape(t *testing.T) {
 		subtype hypothesis.Subtype
 	}{
 		{"ext-e-adaptive-economy", hypothesis.Statistical, hypothesis.Dominance},
+		{"ext-e-paper45-agreement", hypothesis.Deterministic, hypothesis.Invariant},
 		{"ext-f-batch-bitwise", hypothesis.Deterministic, hypothesis.Invariant},
 		{"ext-g-gramian-oracle", hypothesis.Deterministic, hypothesis.Invariant},
 		{"ext-h-certified-closure", hypothesis.Deterministic, hypothesis.Invariant},
@@ -46,10 +47,11 @@ func TestHypothesesShape(t *testing.T) {
 	}
 }
 
-// TestHypothesesDeterministicConfirm evaluates the cheap deterministic
-// specs end-to-end and checks the artifacts they emit. The statistical
-// timing specs (ext-e economy, ext-h overhead) are exercised by the CLI
-// and their committed FINDINGS artifacts, not re-timed here.
+// TestHypothesesDeterministicConfirm evaluates the deterministic specs
+// end-to-end and checks the artifacts they emit — the Ext-E..Ext-H checks
+// live in their Pass verdicts. The statistical timing specs (ext-e
+// economy, ext-h overhead) are exercised by the CLI and their committed
+// FINDINGS artifacts, not re-timed here.
 func TestHypothesesDeterministicConfirm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping model-building hypothesis runs in -short mode")
@@ -59,10 +61,17 @@ func TestHypothesesDeterministicConfirm(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	for _, id := range []string{"ext-f-batch-bitwise", "ext-g-gramian-oracle"} {
+	for _, id := range []string{"ext-e-paper45-agreement", "ext-f-batch-bitwise", "ext-g-gramian-oracle", "ext-h-certified-closure"} {
 		spec, ok := reg.Get(id)
 		if !ok {
 			t.Fatalf("spec %s not registered", id)
+		}
+		if raceEnabled && id == "ext-e-paper45-agreement" {
+			// ~1 min of 45-port numerics plain, past the package timeout
+			// under -race; the plain run evaluates it, and the other specs
+			// cover the same enforcement code under the detector.
+			t.Logf("%s: evaluated by the non-race run only", id)
+			continue
 		}
 		f, err := hypothesis.Evaluate(spec)
 		if err != nil {

@@ -272,7 +272,14 @@ func (counterStage) certify(cc *certContext, open []CertInterval) ([]CertInterva
 	var rem []CertInterval
 	var viols []Violation
 	for _, iv := range open {
-		ivViols, ok, note := counterSettle(cc, ic, iv, &cost)
+		segHi := iv.Hi
+		if math.IsInf(segHi, 1) {
+			// No Hamiltonian eigenvalue lies beyond the norm bound, so the
+			// segment past it is crossing-free by construction; counting
+			// stops at the bound and the tail joins the last gap.
+			segHi = ic.OmegaBound() * (1 + 1e-9)
+		}
+		ivViols, ok, note := counterSpan(cc, ic, iv.Lo, iv.Hi, segHi, cc.relTol*segHi, &cost)
 		switch {
 		case len(ivViols) > 0:
 			viols = append(viols, ivViols...)
@@ -290,23 +297,24 @@ func (counterStage) certify(cc *certContext, open []CertInterval) ([]CertInterva
 	return rem, viols, cost, nil
 }
 
-// counterSettle resolves one open interval: localize candidate crossing
-// clusters by contour counting, then judge every crossing-free gap with a
-// single σ sample and every cluster with a polished peak. It reports the
-// violations found, whether the interval is certified clean, and a
-// diagnostic note when the quadrature could not settle it.
-func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *StageCost) ([]Violation, bool, string) {
-	lo, hi := iv.Lo, iv.Hi
-	segHi := hi
-	if math.IsInf(hi, 1) {
-		// No Hamiltonian eigenvalue lies beyond the norm bound, so the
-		// segment past it is crossing-free by construction; counting stops
-		// at the bound and the tail joins the last gap.
-		segHi = ic.OmegaBound() * (1 + 1e-9)
-	}
+// counterMinFloorRel is the narrowest cluster floor, relative to the
+// cluster's upper edge, that counterSpan refines down to before leaving a
+// nonzero count unsettled.
+const counterMinFloorRel = 1e-10
+
+// counterSpan resolves one open interval [lo, hi]: it localizes candidate
+// crossing clusters on [lo, segHi] by contour counting down to width
+// floor, and reports the violations found, whether the span is certified
+// clean, and a diagnostic note when the quadrature could not settle it.
+// Gaps between clusters are crossing-free, so one σ sample decides each. A cluster's polished peak above the limit proves
+// a violation; a clean peak proves nothing — the polish can climb to the
+// cluster edge past a band narrower than the cluster — so a nonzero count
+// is never certified on it. The cluster is re-settled at a 16× finer
+// floor instead, whose gap samples catch such a band; when the floor runs
+// out the span stays open.
+func counterSpan(cc *certContext, ic *IntervalCounter, lo, hi, segHi, floor float64, cost *StageCost) ([]Violation, bool, string) {
 	var clusters []counterCluster
 	if lo < segHi {
-		floor := cc.relTol * segHi
 		var err error
 		clusters, err = ic.Crossings(lo, segHi, floor)
 		if err != nil {
@@ -335,14 +343,26 @@ func counterSettle(cc *certContext, ic *IntervalCounter, iv CertInterval, cost *
 			viols = append(viols, Violation{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: g0, OmegaHi: g1})
 		}
 	}
-	// Clusters get their peak polished directly.
+	settled, note := true, ""
 	for _, cl := range clusters {
 		seed := testPoint(cl.Lo, cl.Hi)
 		peakW, peakS := refinePeak(cc.model, cl.Lo, cl.Hi, seed, cc.cache, cc.ws)
 		cost.Samples++
 		if peakS > cc.limit {
 			viols = append(viols, Violation{OmegaPeak: peakW, SigmaPeak: peakS, OmegaLo: cl.Lo, OmegaHi: cl.Hi})
+			continue
+		}
+		fine := floor / 16
+		if fine < counterMinFloorRel*cl.Hi {
+			settled = false
+			note = fmt.Sprintf("counter: %d crossing(s) in [%g, %g] unresolved at the finest floor", cl.Count, cl.Lo, cl.Hi)
+			continue
+		}
+		sub, ok, subNote := counterSpan(cc, ic, cl.Lo, cl.Hi, cl.Hi, fine, cost)
+		viols = append(viols, sub...)
+		if !ok && len(sub) == 0 {
+			settled, note = false, subNote
 		}
 	}
-	return viols, len(viols) == 0, ""
+	return viols, settled && len(viols) == 0, note
 }

@@ -27,7 +27,7 @@ type ScalingReport struct {
 // This is the crudest guaranteed-passive scheme: it wipes out accuracy
 // uniformly across frequency instead of perturbing only where violations
 // live, and serves as the strawman baseline in the enforcement-accuracy
-// ablation (EXPERIMENTS.md). Real flows should use Enforce or the
+// ablation (cmd/experiments -fig D). Real flows should use Enforce or the
 // sensitivity-weighted scheme.
 func EnforceByResidueScaling(model *rational.Model, opts EnforceOptions) (*ScalingReport, error) {
 	if opts.Margin <= 0 {

@@ -26,10 +26,16 @@ import (
 //		DelayOn(7, 50*time.Millisecond))
 type FaultPlan struct {
 	mu        sync.Mutex
-	global    map[int64]faultSpec
-	perWorker map[int]map[int64]faultSpec
+	specs     map[faultKey]faultSpec
 	globalSeq int64
 	workerSeq map[int]int64
+}
+
+// faultKey names an attempt: the nth overall (worker −1) or the nth run
+// by one worker.
+type faultKey struct {
+	worker int
+	n      int64
 }
 
 // faultSpec is one registered fault. Latency applies first, then panic,
@@ -41,68 +47,51 @@ type faultSpec struct {
 	err        error
 }
 
-func (p *FaultPlan) globalSpec(n int64) *faultSpec {
-	if p.global == nil {
-		p.global = make(map[int64]faultSpec)
-	}
-	s := p.global[n]
-	return &s
-}
-
-func (p *FaultPlan) setGlobal(n int64, f func(*faultSpec)) *FaultPlan {
+// set amends the spec of attempt n — overall for worker −1, else of that
+// worker's attempts.
+func (p *FaultPlan) set(worker int, n int64, f func(*faultSpec)) *FaultPlan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := p.globalSpec(n)
-	f(s)
-	p.global[n] = *s
-	return p
-}
-
-func (p *FaultPlan) setWorker(worker int, n int64, f func(*faultSpec)) *FaultPlan {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.perWorker == nil {
-		p.perWorker = make(map[int]map[int64]faultSpec)
+	if p.specs == nil {
+		p.specs = make(map[faultKey]faultSpec)
 	}
-	if p.perWorker[worker] == nil {
-		p.perWorker[worker] = make(map[int64]faultSpec)
-	}
-	s := p.perWorker[worker][n]
+	k := faultKey{worker, n}
+	s := p.specs[k]
 	f(&s)
-	p.perWorker[worker][n] = s
+	p.specs[k] = s
 	return p
 }
 
 // PanicOn makes the nth attempt overall (1-based) panic with value.
 func (p *FaultPlan) PanicOn(n int64, value any) *FaultPlan {
-	return p.setGlobal(n, func(s *faultSpec) { s.doPanic, s.panicValue = true, value })
+	return p.set(-1, n, func(s *faultSpec) { s.doPanic, s.panicValue = true, value })
 }
 
 // PanicOnWorker makes the nth attempt run by the given worker panic.
 func (p *FaultPlan) PanicOnWorker(worker int, n int64, value any) *FaultPlan {
-	return p.setWorker(worker, n, func(s *faultSpec) { s.doPanic, s.panicValue = true, value })
+	return p.set(worker, n, func(s *faultSpec) { s.doPanic, s.panicValue = true, value })
 }
 
 // FailOn makes the nth attempt overall fail with err (wrap with
 // Transient to make it retryable).
 func (p *FaultPlan) FailOn(n int64, err error) *FaultPlan {
-	return p.setGlobal(n, func(s *faultSpec) { s.err = err })
+	return p.set(-1, n, func(s *faultSpec) { s.err = err })
 }
 
 // FailOnWorker makes the nth attempt run by the given worker fail.
 func (p *FaultPlan) FailOnWorker(worker int, n int64, err error) *FaultPlan {
-	return p.setWorker(worker, n, func(s *faultSpec) { s.err = err })
+	return p.set(worker, n, func(s *faultSpec) { s.err = err })
 }
 
 // DelayOn stalls the nth attempt overall by d (cut short by the job's
 // deadline context, which then fails the attempt with the ctx error).
 func (p *FaultPlan) DelayOn(n int64, d time.Duration) *FaultPlan {
-	return p.setGlobal(n, func(s *faultSpec) { s.latency = d })
+	return p.set(-1, n, func(s *faultSpec) { s.latency = d })
 }
 
 // DelayOnWorker stalls the nth attempt run by the given worker.
 func (p *FaultPlan) DelayOnWorker(worker int, n int64, d time.Duration) *FaultPlan {
-	return p.setWorker(worker, n, func(s *faultSpec) { s.latency = d })
+	return p.set(worker, n, func(s *faultSpec) { s.latency = d })
 }
 
 // Attempts reports how many attempts the plan has numbered so far.
@@ -113,7 +102,9 @@ func (p *FaultPlan) Attempts() int64 {
 }
 
 // hook is installed as the server's runHook. A worker-specific fault
-// wins over a global one for the same attempt.
+// wins over a global one for the same attempt; the shadowed global fault
+// moves to the next attempt number without one, so it is not lost to a
+// scheduling coincidence.
 func (p *FaultPlan) hook(ctx context.Context, j *Job) error {
 	p.mu.Lock()
 	p.globalSeq++
@@ -121,9 +112,16 @@ func (p *FaultPlan) hook(ctx context.Context, j *Job) error {
 		p.workerSeq = make(map[int]int64)
 	}
 	p.workerSeq[j.worker]++
-	spec, ok := p.perWorker[j.worker][p.workerSeq[j.worker]]
-	if !ok {
-		spec, ok = p.global[p.globalSeq]
+	global := faultKey{-1, p.globalSeq}
+	spec, ok := p.specs[faultKey{j.worker, p.workerSeq[j.worker]}]
+	if shadowed, both := p.specs[global]; !ok {
+		spec, ok = shadowed, both
+	} else if both {
+		next := global
+		for taken := true; taken; _, taken = p.specs[next] {
+			next.n++
+		}
+		p.specs[next] = shadowed
 	}
 	p.mu.Unlock()
 	if !ok {

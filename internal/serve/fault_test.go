@@ -197,8 +197,9 @@ func TestFaultWorkerRetiredAfterRestartBudget(t *testing.T) {
 		t.Fatalf("post-retirement job: err=%v worker=%d attempts=%d", res.Err, res.Worker, res.Attempts)
 	}
 	s.mu.Lock()
-	for fp, wi := range s.affinity {
-		if wi == 0 {
+	for _, m := range models {
+		fp := repro.PoleFingerprint(m)
+		if wi, ok := s.affinity.Owner(fp); ok && wi == 0 {
 			t.Errorf("affinity %016x still points at retired worker 0", fp)
 		}
 	}

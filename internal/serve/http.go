@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"time"
@@ -194,8 +195,26 @@ func ParseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// writeJSON emits one JSON response with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// Backoff returns the wait before retry number attempt (1-based) — the
+// one retry schedule of passcheck's remote client and the cluster worker
+// agent: base doubled per attempt and capped at max, or the Retry-After
+// hint (capped at 30 s) when one was given, then jittered into [d/2, d]
+// so a fleet of clients does not re-dogpile a recovering server in
+// lockstep.
+func Backoff(attempt int, base, max, hint time.Duration) time.Duration {
+	d := base << (attempt - 1)
+	if d > max || d <= 0 {
+		d = max
+	}
+	if hint > 0 {
+		d = min(hint, 30*time.Second)
+	}
+	return d/2 + rand.N(d/2+1)
+}
+
+// WriteJSON emits one JSON response with the given status — the one
+// JSON writer of the daemon's and the coordinator's HTTP surfaces.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	// Marshal before touching the header: an encoding failure after
 	// WriteHeader(200) would truncate the body mid-stream and surface at
 	// the client as an opaque EOF instead of an error it can report.
@@ -209,52 +228,93 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(append(body, '\n'))
 }
 
-// handleJob decodes a Request, submits it and waits for the Result.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind JobKind) {
+// DecodePost decodes a POST request's JSON body of at most limit bytes
+// into v and validates it when v is a JobRequest. On failure it answers
+// the client itself (405, or 400 with the decode or validation error)
+// and returns false.
+func DecodePost(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return false
 	}
-	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "decoding request: " + err.Error()})
-		return
-	}
-	if req.Model == nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "request carries no model"})
-		return
-	}
-	chk, err := req.Check.CheckOptions()
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
-		return
+		err = fmt.Errorf("decoding request: %w", err)
+	} else if req, ok := v.(JobRequest); ok {
+		err = req.Validate()
 	}
-	job := &Job{
-		Kind:        kind,
-		Model:       req.Model,
-		Check:       chk,
-		Enforce:     req.Enforce.EnforceOptions(),
-		Deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
-		MaxAttempts: req.MaxAttempts,
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		return false
 	}
-	ch, err := s.Submit(job)
+	return true
+}
+
+// JobRequest is a decoded /v1/check or /v1/enforce body. Each surface
+// keeps its own type (the daemon decodes the model, the coordinator keeps
+// its raw bytes for the ledger); Validate vets it before admission.
+type JobRequest interface {
+	Validate() error
+}
+
+// Validate rejects a request without a model or with a malformed check
+// spec.
+func (r *Request) Validate() error {
+	if r.Model == nil {
+		return errors.New("request carries no model")
+	}
+	_, err := r.Check.CheckOptions()
+	return err
+}
+
+// AdmitJob runs the admission half of a /v1 job request: it decodes and
+// validates the body into req (DecodePost) and submits it through submit.
+// Every failure is answered here and AdmitJob returns false: 400 for a bad
+// body or spec; for a submit error, 429 with a Retry-After of retryAfter
+// when it matches full, 503 when the pool is draining or retired, 400
+// otherwise. On true the caller waits for the job and writes its result.
+func AdmitJob(w http.ResponseWriter, r *http.Request, req JobRequest, limit int64, full error, retryAfter string, submit func() error) bool {
+	if !DecodePost(w, r, req, limit) {
+		return false
+	}
+	err := submit()
+	status := http.StatusBadRequest
 	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, Response{Error: err.Error()})
-		return
+	case err == nil:
+		return true
+	case errors.Is(err, full):
+		w.Header().Set("Retry-After", retryAfter)
+		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrNoWorkers):
-		writeJSON(w, http.StatusServiceUnavailable, Response{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		status = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, status, Response{Error: err.Error()})
+	return false
+}
+
+// handleJob admits a Request and waits for its Result.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, kind JobKind) {
+	var req Request
+	var ch <-chan *Result
+	if !AdmitJob(w, r, &req, maxRequestBytes, ErrQueueFull, "1", func() error {
+		chk, _ := req.Check.CheckOptions() // validated by AdmitJob
+		var err error
+		ch, err = s.Submit(&Job{
+			Kind:        kind,
+			Model:       req.Model,
+			Check:       chk,
+			Enforce:     req.Enforce.EnforceOptions(),
+			Deadline:    time.Duration(req.DeadlineMS) * time.Millisecond,
+			MaxAttempts: req.MaxAttempts,
+		})
+		return err
+	}) {
 		return
 	}
 	// The worker always delivers (the channel is buffered), so waiting
 	// here cannot leak even if the client has gone away.
 	resp, status := ResponseStatus(<-ch)
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // ResponseStatus converts a finished job's Result into the wire Response

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,8 +60,9 @@ type metrics struct {
 	nodesTotal    map[string]int64
 	declinesTotal int64
 
-	// cache holds the latest per-worker Session cache snapshot.
-	cache map[int]repro.SessionCacheStats
+	// cacheBytes/cacheModels hold the latest per-worker Session cache
+	// snapshot, keyed by worker index.
+	cacheBytes, cacheModels map[string]int64
 }
 
 func newMetrics() *metrics {
@@ -70,8 +74,16 @@ func newMetrics() *metrics {
 		stageSec:       make(map[string]float64),
 		stageEvents:    make(map[string]int64),
 		nodesTotal:     make(map[string]int64),
-		cache:          make(map[int]repro.SessionCacheStats),
+		cacheBytes:     make(map[string]int64),
+		cacheModels:    make(map[string]int64),
 	}
+}
+
+// add bumps one counter under the registry lock.
+func (m *metrics) add(c *int64, n int64) {
+	m.mu.Lock()
+	*c += n
+	m.mu.Unlock()
 }
 
 func (m *metrics) accepted(affinityHit bool) {
@@ -91,50 +103,6 @@ func (m *metrics) rejected(reason string) {
 	m.rejectedTotal[reason]++
 }
 
-func (m *metrics) panicked() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.panicsTotal++
-}
-
-func (m *metrics) workerRestarted() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.restartsTotal++
-}
-
-func (m *metrics) workerRetired() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retiredTotal++
-}
-
-func (m *metrics) retried() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retriesTotal++
-}
-
-func (m *metrics) requeued() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requeuedTotal++
-}
-
-func (m *metrics) quarantined(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.quarantinedTotal += int64(n)
-}
-
-// kindLabel names a job kind in metric labels.
-func kindLabel(k JobKind) string {
-	if k == JobEnforce {
-		return "enforce"
-	}
-	return "check"
-}
-
 func (m *metrics) finished(kind JobKind, res *Result) {
 	status := "ok"
 	switch {
@@ -145,7 +113,7 @@ func (m *metrics) finished(kind JobKind, res *Result) {
 	case res.Err != nil:
 		status = "error"
 	}
-	k := kindLabel(kind)
+	k := kind.String()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.completedTotal[k+"/"+status]++
@@ -171,9 +139,20 @@ func (m *metrics) stage(stage string, d time.Duration, samples, nodes int, backe
 }
 
 func (m *metrics) cacheStats(worker int, st repro.SessionCacheStats) {
+	id := strconv.Itoa(worker)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.cache[worker] = st
+	m.cacheBytes[id] = st.Bytes
+	m.cacheModels[id] = int64(st.Models)
+}
+
+// hitRatio is hits/(hits+misses) over all accepted jobs (0 when none
+// were accepted yet). Callers hold m.mu.
+func (m *metrics) hitRatio() float64 {
+	if t := m.affinityHits + m.affinityMisses; t > 0 {
+		return float64(m.affinityHits) / float64(t)
+	}
+	return 0
 }
 
 // AffinityHitRatio reports hits/(hits+misses) over all accepted jobs
@@ -181,106 +160,71 @@ func (m *metrics) cacheStats(worker int, st repro.SessionCacheStats) {
 func (s *Server) AffinityHitRatio() float64 {
 	s.met.mu.Lock()
 	defer s.met.mu.Unlock()
-	total := s.met.affinityHits + s.met.affinityMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.met.affinityHits) / float64(total)
+	return s.met.hitRatio()
 }
 
-// sortedKeys returns the map keys in stable order so the /metrics output
-// is deterministic.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+// WriteMetric writes one unlabelled metric in the Prometheus text
+// exposition format (hand-rolled — the module takes no dependencies):
+// HELP, TYPE ("counter" or "gauge") and the sample.
+func WriteMetric(w io.Writer, name, typ, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
 }
 
-// writePrometheus renders the server state in the Prometheus text
-// exposition format (hand-rolled — the module takes no dependencies).
+// WriteFamily writes one labelled metric family: HELP, TYPE, then one
+// sample per key of values in sorted key order. A key holds the values of
+// labels joined by "/", split at the first len(labels)-1 slashes (the
+// last label's value may itself contain slashes).
+func WriteFamily[V int64 | float64](w io.Writer, name, typ, help string, labels []string, values map[string]V) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, k := range slices.Sorted(maps.Keys(values)) {
+		vals := strings.SplitN(k, "/", len(labels))
+		pairs := make([]string, len(labels))
+		for i, l := range labels {
+			v := ""
+			if i < len(vals) {
+				v = vals[i]
+			}
+			pairs[i] = fmt.Sprintf("%s=%q", l, v)
+		}
+		fmt.Fprintf(w, "%s{%s} %v\n", name, strings.Join(pairs, ","), values[k])
+	}
+}
+
+// writePrometheus renders the server state on /metrics.
 func (s *Server) writePrometheus(w io.Writer) {
 	queued := s.QueueDepth()
 	m := s.met
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP passivityd_workers Worker pool size.\n# TYPE passivityd_workers gauge\npassivityd_workers %d\n", len(s.workers))
-	fmt.Fprintf(w, "# HELP passivityd_queue_depth Accepted-but-unfinished jobs.\n# TYPE passivityd_queue_depth gauge\npassivityd_queue_depth %d\n", queued)
-	fmt.Fprintf(w, "# HELP passivityd_jobs_accepted_total Jobs admitted to the queue.\n# TYPE passivityd_jobs_accepted_total counter\npassivityd_jobs_accepted_total %d\n", m.acceptedTotal)
+	WriteMetric(w, "passivityd_workers", "gauge", "Worker pool size.", len(s.workers))
+	WriteMetric(w, "passivityd_queue_depth", "gauge", "Accepted-but-unfinished jobs.", queued)
+	WriteMetric(w, "passivityd_jobs_accepted_total", "counter", "Jobs admitted to the queue.", m.acceptedTotal)
+	WriteFamily(w, "passivityd_jobs_rejected_total", "counter", "Jobs rejected at admission.", []string{"reason"}, m.rejectedTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_jobs_rejected_total Jobs rejected at admission.\n# TYPE passivityd_jobs_rejected_total counter\n")
-	for _, reason := range sortedKeys(m.rejectedTotal) {
-		fmt.Fprintf(w, "passivityd_jobs_rejected_total{reason=%q} %d\n", reason, m.rejectedTotal[reason])
-	}
+	WriteMetric(w, "passivityd_affinity_hits_total", "counter", "Jobs placed on the worker already holding their pole-set fingerprint.", m.affinityHits)
+	WriteMetric(w, "passivityd_affinity_misses_total", "counter", "Jobs placed by the least-loaded fallback.", m.affinityMisses)
+	WriteMetric(w, "passivityd_affinity_hit_ratio", "gauge", "Affinity hits over accepted jobs.", m.hitRatio())
 
-	fmt.Fprintf(w, "# HELP passivityd_affinity_hits_total Jobs placed on the worker already holding their pole-set fingerprint.\n# TYPE passivityd_affinity_hits_total counter\npassivityd_affinity_hits_total %d\n", m.affinityHits)
-	fmt.Fprintf(w, "# HELP passivityd_affinity_misses_total Jobs placed by the least-loaded fallback.\n# TYPE passivityd_affinity_misses_total counter\npassivityd_affinity_misses_total %d\n", m.affinityMisses)
-	ratio := 0.0
-	if t := m.affinityHits + m.affinityMisses; t > 0 {
-		ratio = float64(m.affinityHits) / float64(t)
-	}
-	fmt.Fprintf(w, "# HELP passivityd_affinity_hit_ratio Affinity hits over accepted jobs.\n# TYPE passivityd_affinity_hit_ratio gauge\npassivityd_affinity_hit_ratio %g\n", ratio)
+	WriteMetric(w, "passivityd_panics_total", "counter", "Worker panics recovered by job supervision.", m.panicsTotal)
+	WriteMetric(w, "passivityd_worker_restarts_total", "counter", "Worker Sessions rebuilt fresh after a panic.", m.restartsTotal)
+	WriteMetric(w, "passivityd_workers_retired_total", "counter", "Workers retired for exhausting their restart budget.", m.retiredTotal)
+	WriteMetric(w, "passivityd_retries_total", "counter", "Job attempts re-run after a retryable failure.", m.retriesTotal)
+	WriteMetric(w, "passivityd_requeued_total", "counter", "Jobs moved onto a different worker's queue.", m.requeuedTotal)
+	WriteMetric(w, "passivityd_quarantined_caches_total", "counter", "Corrupt cache files quarantined at load.", m.quarantinedTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_panics_total Worker panics recovered by job supervision.\n# TYPE passivityd_panics_total counter\npassivityd_panics_total %d\n", m.panicsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_worker_restarts_total Worker Sessions rebuilt fresh after a panic.\n# TYPE passivityd_worker_restarts_total counter\npassivityd_worker_restarts_total %d\n", m.restartsTotal)
-	fmt.Fprintf(w, "# HELP passivityd_workers_retired_total Workers retired for exhausting their restart budget.\n# TYPE passivityd_workers_retired_total counter\npassivityd_workers_retired_total %d\n", m.retiredTotal)
-	fmt.Fprintf(w, "# HELP passivityd_retries_total Job attempts re-run after a retryable failure.\n# TYPE passivityd_retries_total counter\npassivityd_retries_total %d\n", m.retriesTotal)
-	fmt.Fprintf(w, "# HELP passivityd_requeued_total Jobs moved onto a different worker's queue.\n# TYPE passivityd_requeued_total counter\npassivityd_requeued_total %d\n", m.requeuedTotal)
-	fmt.Fprintf(w, "# HELP passivityd_quarantined_caches_total Corrupt cache files quarantined at load.\n# TYPE passivityd_quarantined_caches_total counter\npassivityd_quarantined_caches_total %d\n", m.quarantinedTotal)
+	WriteFamily(w, "passivityd_jobs_completed_total", "counter", "Finished jobs by kind and status.", []string{"kind", "status"}, m.completedTotal)
+	WriteMetric(w, "passivityd_queue_wait_seconds_total", "counter", "Cumulative time jobs spent queued.", m.queueWaitSec)
+	WriteMetric(w, "passivityd_queue_wait_count", "counter", "Jobs the wait total covers.", m.queueWaitCount)
+	WriteFamily(w, "passivityd_service_seconds_total", "counter", "Cumulative worker time by job kind.", []string{"kind"}, m.serviceSec)
+	WriteFamily(w, "passivityd_service_count", "counter", "Jobs the service totals cover, by kind.", []string{"kind"}, m.serviceCount)
 
-	fmt.Fprintf(w, "# HELP passivityd_jobs_completed_total Finished jobs by kind and status.\n# TYPE passivityd_jobs_completed_total counter\n")
-	for _, k := range sortedKeys(m.completedTotal) {
-		kind, status := k, ""
-		for i := range k {
-			if k[i] == '/' {
-				kind, status = k[:i], k[i+1:]
-				break
-			}
-		}
-		fmt.Fprintf(w, "passivityd_jobs_completed_total{kind=%q,status=%q} %d\n", kind, status, m.completedTotal[k])
-	}
+	WriteFamily(w, "passivityd_stage_seconds_total", "counter", "Wall-clock charged to each progress stage.", []string{"stage"}, m.stageSec)
+	WriteFamily(w, "passivityd_stage_events_total", "counter", "Progress events per stage.", []string{"stage"}, m.stageEvents)
+	WriteMetric(w, "passivityd_sigma_samples_total", "counter", "Sigma evaluations reported by progress events.", m.sigmaTotal)
+	WriteFamily(w, "passivityd_counter_nodes_total", "counter", "Contour-quadrature determinant evaluations reported by certificate-stage events, by kernel backend.", []string{"backend"}, m.nodesTotal)
+	WriteMetric(w, "passivityd_counter_declines_total", "counter", "Intervals certificate stages refused at their dimension gates.", m.declinesTotal)
 
-	fmt.Fprintf(w, "# HELP passivityd_queue_wait_seconds_total Cumulative time jobs spent queued.\n# TYPE passivityd_queue_wait_seconds_total counter\npassivityd_queue_wait_seconds_total %g\n", m.queueWaitSec)
-	fmt.Fprintf(w, "# HELP passivityd_queue_wait_count Jobs the wait total covers.\n# TYPE passivityd_queue_wait_count counter\npassivityd_queue_wait_count %d\n", m.queueWaitCount)
-
-	fmt.Fprintf(w, "# HELP passivityd_service_seconds_total Cumulative worker time by job kind.\n# TYPE passivityd_service_seconds_total counter\n")
-	for _, k := range sortedKeys(m.serviceSec) {
-		fmt.Fprintf(w, "passivityd_service_seconds_total{kind=%q} %g\n", k, m.serviceSec[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_service_count Jobs the service totals cover, by kind.\n# TYPE passivityd_service_count counter\n")
-	for _, k := range sortedKeys(m.serviceCount) {
-		fmt.Fprintf(w, "passivityd_service_count{kind=%q} %d\n", k, m.serviceCount[k])
-	}
-
-	fmt.Fprintf(w, "# HELP passivityd_stage_seconds_total Wall-clock charged to each progress stage.\n# TYPE passivityd_stage_seconds_total counter\n")
-	for _, k := range sortedKeys(m.stageSec) {
-		fmt.Fprintf(w, "passivityd_stage_seconds_total{stage=%q} %g\n", k, m.stageSec[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_stage_events_total Progress events per stage.\n# TYPE passivityd_stage_events_total counter\n")
-	for _, k := range sortedKeys(m.stageEvents) {
-		fmt.Fprintf(w, "passivityd_stage_events_total{stage=%q} %d\n", k, m.stageEvents[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_sigma_samples_total Sigma evaluations reported by progress events.\n# TYPE passivityd_sigma_samples_total counter\npassivityd_sigma_samples_total %d\n", m.sigmaTotal)
-	fmt.Fprintf(w, "# HELP passivityd_counter_nodes_total Contour-quadrature determinant evaluations reported by certificate-stage events, by kernel backend.\n# TYPE passivityd_counter_nodes_total counter\n")
-	for _, k := range sortedKeys(m.nodesTotal) {
-		fmt.Fprintf(w, "passivityd_counter_nodes_total{backend=%q} %d\n", k, m.nodesTotal[k])
-	}
-	fmt.Fprintf(w, "# HELP passivityd_counter_declines_total Intervals certificate stages refused at their dimension gates.\n# TYPE passivityd_counter_declines_total counter\npassivityd_counter_declines_total %d\n", m.declinesTotal)
-
-	fmt.Fprintf(w, "# HELP passivityd_worker_cache_bytes Estimated resident evaluation-cache bytes per worker Session.\n# TYPE passivityd_worker_cache_bytes gauge\n")
-	workers := make([]int, 0, len(m.cache))
-	for id := range m.cache {
-		workers = append(workers, id)
-	}
-	sort.Ints(workers)
-	for _, id := range workers {
-		fmt.Fprintf(w, "passivityd_worker_cache_bytes{worker=\"%d\"} %d\n", id, m.cache[id].Bytes)
-	}
-	fmt.Fprintf(w, "# HELP passivityd_worker_cache_models Resident pole-set caches per worker Session.\n# TYPE passivityd_worker_cache_models gauge\n")
-	for _, id := range workers {
-		fmt.Fprintf(w, "passivityd_worker_cache_models{worker=\"%d\"} %d\n", id, m.cache[id].Models)
-	}
+	WriteFamily(w, "passivityd_worker_cache_bytes", "gauge", "Estimated resident evaluation-cache bytes per worker Session.", []string{"worker"}, m.cacheBytes)
+	WriteFamily(w, "passivityd_worker_cache_models", "gauge", "Resident pole-set caches per worker Session.", []string{"worker"}, m.cacheModels)
 }

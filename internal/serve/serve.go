@@ -11,7 +11,8 @@
 // placement map (so queued jobs for one fingerprint pile onto one worker)
 // and then the workers' live caches via Session.HasCache (so affinity
 // survives process restarts through persisted cache files) — and falls
-// back to the least-loaded worker for fingerprints nobody has seen. On
+// back to the least-loaded worker for fingerprints nobody has seen. The
+// policy is package placement's, shared with the cluster coordinator. On
 // library and parameter sweeps, where thousands of near-identical models
 // share a handful of pole sets, warm-cache hits dominate.
 //
@@ -40,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -49,6 +49,7 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/placement"
 )
 
 // Errors reported by Submit (mapped to HTTP statuses by the handler).
@@ -61,18 +62,16 @@ var (
 	ErrDraining = errors.New("serve: server draining")
 )
 
-// RoutingPolicy selects how the dispatcher places jobs on workers.
-type RoutingPolicy int
+// RoutingPolicy selects how the dispatcher places jobs on workers — the
+// shared placement.Policy: RouteAffinity (the default) steers each job to
+// the worker holding its pole-set fingerprint; RouteRandom, the control
+// arm of BenchmarkAffinityRouting, draws a uniformly random worker.
+type RoutingPolicy = placement.Policy
 
+// Routing policies.
 const (
-	// RouteAffinity (the default) steers each job to the worker whose
-	// Session holds the job's pole-set fingerprint, falling back to the
-	// least-loaded worker for unseen fingerprints.
-	RouteAffinity RoutingPolicy = iota
-	// RouteRandom places every job on a uniformly random worker. It is the
-	// control arm of BenchmarkAffinityRouting and deliberately ignores
-	// cache residency; production servers want RouteAffinity.
-	RouteRandom
+	RouteAffinity = placement.Affinity
+	RouteRandom   = placement.Random
 )
 
 // Options configures New.
@@ -123,6 +122,25 @@ const (
 	// place and returns the enforced model.
 	JobEnforce
 )
+
+// String names the kind on the wire and in metric labels: "check" or
+// "enforce".
+func (k JobKind) String() string {
+	if k == JobEnforce {
+		return "enforce"
+	}
+	return "check"
+}
+
+// ParseJobKind maps a wire name (JobKind.String) back to its JobKind.
+func ParseJobKind(name string) (JobKind, error) {
+	for _, k := range []JobKind{JobCheck, JobEnforce} {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return JobCheck, fmt.Errorf("serve: unknown job kind %q (want check or enforce)", name)
+}
 
 // Job is one unit of work submitted to the server. The server owns the
 // model after Submit succeeds (enforce jobs perturb it in place).
@@ -226,11 +244,10 @@ type Server struct {
 	hardCancel context.CancelFunc
 
 	mu          sync.Mutex
-	affinity    map[uint64]int
+	affinity    *placement.Table[int] // fingerprint → worker index
 	queued      int
 	draining    bool
 	deadWorkers int
-	rng         *rand.Rand
 
 	// notReady inverts the /healthz readiness signal (see SetReady); the
 	// zero value keeps a freshly built server ready, matching embedded
@@ -245,11 +262,6 @@ type Server struct {
 	// deadlines and drains.
 	runHook func(ctx context.Context, j *Job) error
 }
-
-// maxAffinityEntries bounds the dispatcher placement map; beyond it the
-// map is rebuilt lazily from the workers' live caches (HasCache), which
-// bound themselves via the session byte budgets.
-const maxAffinityEntries = 1 << 16
 
 // New builds the server and starts its workers. Caches are not loaded
 // here — call LoadCaches to warm the pool from Options.CacheDir.
@@ -278,19 +290,19 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxWorkerRestarts <= 0 {
 		opts.MaxWorkerRestarts = 3
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
 		met:        newMetrics(),
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
-		affinity:   make(map[uint64]int),
-		rng:        rand.New(rand.NewSource(seed)),
 	}
+	// The residency probe doubles as the warm placement tier (caches
+	// loaded from disk or imported) and as what a full table keeps.
+	s.affinity = placement.New(opts.Routing, opts.Seed, 0, func(id int, fp uint64) bool {
+		w := s.workers[id]
+		return !w.dead.Load() && w.sess.HasCache(fp)
+	})
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{id: i, srv: s, jobs: make(chan *Job, opts.QueueDepth)}
 		w.sess = s.newWorkerSession(w)
@@ -384,33 +396,31 @@ func (s *Server) ExportCache(fp uint64) ([]byte, error) {
 	return nil, ErrNoCache
 }
 
-// ImportCache validates a serialized evaluation cache and installs it
-// into the worker the dispatcher would route the fingerprint to, then
-// records that placement — so the jobs the cache was shipped ahead of
-// land on the worker that now holds it. A corrupt blob is rejected whole;
-// no session state changes.
-func (s *Server) ImportCache(blob []byte) (uint64, error) {
-	fp, err := repro.CacheBlobFingerprint(blob)
+// ImportCache installs a serialized evaluation cache into the worker the
+// dispatcher would place fp on, then records that placement — so the
+// jobs the cache was shipped ahead of land on the worker that now holds
+// it. fp is the fingerprint the sender names the blob by and only
+// routes: the Session import is the one verification pass, and the
+// placement is recorded under the fingerprint it verified, which is
+// returned. A corrupt blob is rejected whole; neither a Session nor the
+// placement table changes.
+func (s *Server) ImportCache(fp uint64, blob []byte) (uint64, error) {
+	s.mu.Lock()
+	id, _, ok := s.affinity.Pick(fp, s.candidatesLocked(nil))
+	if !ok {
+		s.mu.Unlock()
+		return 0, ErrNoWorkers
+	}
+	sess := s.workers[id].sess
+	s.mu.Unlock()
+	got, err := sess.ImportCache(blob)
 	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
-	w, _ := s.routeLocked(fp)
-	var sess *repro.Session
-	if w != nil {
-		sess = w.sess
-	}
+	s.affinity.Record(got, id)
 	s.mu.Unlock()
-	if sess == nil {
-		return 0, ErrNoWorkers
-	}
-	if _, err := sess.ImportCache(blob); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	s.affinity[fp] = w.id
-	s.mu.Unlock()
-	return fp, nil
+	return got, nil
 }
 
 // workerCacheDir is the per-worker cache subdirectory (stable across
@@ -440,7 +450,7 @@ func (s *Server) LoadCaches() (quarantined int, err error) {
 		}
 	}
 	if quarantined > 0 {
-		s.met.quarantined(quarantined)
+		s.met.add(&s.met.quarantinedTotal, int64(quarantined))
 	}
 	return quarantined, firstErr
 }
@@ -495,12 +505,13 @@ func (s *Server) Submit(j *Job) (<-chan *Result, error) {
 		s.met.rejected("queue_full")
 		return nil, ErrQueueFull
 	}
-	w, hit := s.routeLocked(fp)
-	if w == nil {
+	id, hit, ok := s.affinity.Place(fp, s.candidatesLocked(nil))
+	if !ok {
 		s.mu.Unlock()
 		s.met.rejected("no_workers")
 		return nil, ErrNoWorkers
 	}
+	w := s.workers[id]
 	s.queued++
 	j.fp = fp
 	j.worker = w.id
@@ -517,67 +528,16 @@ func (s *Server) Submit(j *Job) (<-chan *Result, error) {
 	return j.result, nil
 }
 
-// routeLocked picks the worker for a fingerprint, never a retired one
-// (nil if the whole pool is). Callers hold s.mu.
-func (s *Server) routeLocked(fp uint64) (*worker, bool) {
-	if s.deadWorkers >= len(s.workers) {
-		return nil, false
-	}
-	if s.opts.Routing == RouteRandom {
-		for {
-			if w := s.workers[s.rng.Intn(len(s.workers))]; !w.dead.Load() {
-				return w, false
-			}
-		}
-	}
-	if wi, ok := s.affinity[fp]; ok && !s.workers[wi].dead.Load() {
-		return s.workers[wi], true
-	}
-	// No placement on record: a worker may still hold the cache (loaded
-	// from disk by LoadCaches, or the map was rebuilt) — probe the pool.
+// candidatesLocked lists the live workers except the excluded one, in
+// index order, with their loads. Callers hold s.mu.
+func (s *Server) candidatesLocked(exclude *worker) []placement.Candidate[int] {
+	cands := make([]placement.Candidate[int], 0, len(s.workers))
 	for _, w := range s.workers {
-		if !w.dead.Load() && w.sess.HasCache(fp) {
-			s.affinity[fp] = w.id
-			return w, true
+		if w != exclude && !w.dead.Load() {
+			cands = append(cands, placement.Candidate[int]{Owner: w.id, Load: w.pending.Load()})
 		}
 	}
-	var best *worker
-	for _, w := range s.workers {
-		if w.dead.Load() {
-			continue
-		}
-		if best == nil || w.pending.Load() < best.pending.Load() {
-			best = w
-		}
-	}
-	if len(s.affinity) >= maxAffinityEntries {
-		s.evictAffinityLocked()
-	}
-	s.affinity[fp] = best.id
-	return best, false
-}
-
-// evictAffinityLocked shrinks a full placement map by keeping only the
-// live entries — fingerprints whose worker still holds the cache — so a
-// long-running daemon sheds the cold tail without forgetting its hot
-// set. Only if the live entries alone still fill the map are arbitrary
-// ones dropped (the budget-bounded Sessions make that pathological).
-// Callers hold s.mu.
-func (s *Server) evictAffinityLocked() {
-	kept := make(map[uint64]int)
-	for fp, wi := range s.affinity {
-		w := s.workers[wi]
-		if !w.dead.Load() && w.sess.HasCache(fp) {
-			kept[fp] = wi
-		}
-	}
-	for fp := range kept {
-		if len(kept) < maxAffinityEntries {
-			break
-		}
-		delete(kept, fp)
-	}
-	s.affinity = kept
+	return cands
 }
 
 // Drain stops admission (subsequent Submits fail with ErrDraining), waits
@@ -635,7 +595,7 @@ func (w *worker) run(j *Job) *Result {
 	start := time.Now()
 	j.attempts++
 	if j.attempts > 1 {
-		w.srv.met.retried()
+		w.srv.met.add(&w.srv.met.retriesTotal, 1)
 		if j.Kind == JobEnforce && j.pristine != nil {
 			j.Model = j.pristine.Clone()
 		}

@@ -105,7 +105,7 @@ func (w *worker) process(j *Job) {
 		}
 		res := w.run(j)
 		if pe := (*PanicError)(nil); errors.As(res.Err, &pe) {
-			w.srv.met.panicked()
+			w.srv.met.add(&w.srv.met.panicsTotal, 1)
 			w.retire()
 		}
 		if res.Err == nil || !retryable(res.Err) || j.attempts >= j.maxAttempts {
@@ -121,19 +121,20 @@ func (w *worker) process(j *Job) {
 	}
 }
 
-// deliver hands the job its Result and settles the admission accounting.
+// deliver settles the admission accounting and hands the job its Result.
 // It runs exactly once per accepted job, so the queued counter and the
 // per-worker pending load can never leak — not even when every attempt
-// panicked.
+// panicked. The Result goes last, so a caller holding it already sees
+// the queue slot freed and the job counted in the metrics.
 func (w *worker) deliver(j *Job, res *Result) {
 	res.Attempts = j.attempts
-	j.result <- res // buffered: never blocks on a departed caller
 	w.pending.Add(-1)
 	s := w.srv
 	s.mu.Lock()
 	s.queued--
 	s.mu.Unlock()
 	s.met.finished(j.Kind, res)
+	j.result <- res // buffered: never blocks on a departed caller
 }
 
 // retire replaces the worker's Session after a panic — the old one may
@@ -144,7 +145,7 @@ func (w *worker) deliver(j *Job, res *Result) {
 func (w *worker) retire() {
 	s := w.srv
 	s.mu.Lock()
-	s.scrubAffinityLocked(w.id)
+	s.affinity.Forget(w.id)
 	w.restarts++
 	died := w.restarts > s.opts.MaxWorkerRestarts
 	if died && !w.dead.Load() {
@@ -156,27 +157,18 @@ func (w *worker) retire() {
 	w.sess = s.newWorkerSession(w)
 	s.mu.Unlock()
 	if died {
-		s.met.workerRetired()
+		s.met.add(&s.met.retiredTotal, 1)
 	} else {
-		s.met.workerRestarted()
+		s.met.add(&s.met.restartsTotal, 1)
 	}
 }
 
-// scrubAffinityLocked drops every placement pointing at the worker.
-// Callers hold s.mu.
-func (s *Server) scrubAffinityLocked(workerID int) {
-	for fp, id := range s.affinity {
-		if id == workerID {
-			delete(s.affinity, fp)
-		}
-	}
-}
-
-// requeue moves an accepted job onto a different live worker's queue,
-// preferring the least loaded, and re-records the job's affinity
-// placement so queued siblings follow it. It returns false when no other
-// live worker exists or the server is draining (the queues are closed);
-// the caller then retries in place or fails the job. The job stays
+// requeue moves an accepted job onto a different live worker's queue —
+// placed by the shared policy with the failing worker excluded — and
+// re-records the job's placement so queued siblings follow it. It
+// returns false when no other live worker exists or the server is
+// draining (the queues are closed); the caller then retries in place or
+// fails the job. The job stays
 // accepted throughout: the admission counter is untouched and the
 // channel send cannot block (each accepted job occupies at most one
 // queue slot, and admission bounds accepted jobs by QueueDepth — every
@@ -187,28 +179,18 @@ func (s *Server) requeue(j *Job, from *worker) bool {
 		s.mu.Unlock()
 		return false
 	}
-	var best *worker
-	for _, w := range s.workers {
-		if w == from || w.dead.Load() {
-			continue
-		}
-		if best == nil || w.pending.Load() < best.pending.Load() {
-			best = w
-		}
-	}
-	if best == nil {
+	id, _, ok := s.affinity.Place(j.fp, s.candidatesLocked(from))
+	if !ok {
 		s.mu.Unlock()
 		return false
 	}
-	if s.opts.Routing == RouteAffinity {
-		s.affinity[j.fp] = best.id
-	}
+	best := s.workers[id]
 	j.worker = best.id
 	from.pending.Add(-1)
 	best.pending.Add(1)
 	best.jobs <- j
 	s.mu.Unlock()
-	s.met.requeued()
+	s.met.add(&s.met.requeuedTotal, 1)
 	return true
 }
 
