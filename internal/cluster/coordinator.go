@@ -176,7 +176,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	}
 	// A member's catalog is the warm placement tier and what a full
 	// placement table keeps.
-	c.placement = placement.New(opts.Placement, opts.Seed, 0, func(name string, fp uint64) bool {
+	c.placement = placement.New(opts.Placement, opts.Seed, func(name string, fp uint64) bool {
 		m := c.members[name]
 		return m != nil && !m.lost && m.catalog[fp]
 	})

@@ -83,11 +83,9 @@ func extEAdaptiveEconomy() hypothesis.Spec {
 	}
 }
 
-// extEPaper45Agreement — the Ext-E input on the paper's testcase: the
-// non-passive sensitivity-weighted fit of the 45-port PDN (Quick profile)
-// is characterized by the 1200-point sweep and by the adaptive scheme,
-// then enforced with the adaptive characterizer driving the loop and
-// re-checked by the independent sweep.
+// extEPaper45Agreement — the Ext-E agreement claim (extEAgreement) on the
+// paper's testcase: the sensitivity-weighted fit of the 45-port PDN
+// (Quick profile).
 func extEPaper45Agreement() hypothesis.Spec {
 	return hypothesis.Spec{
 		ID:      "ext-e-paper45-agreement",
@@ -97,52 +95,60 @@ func extEPaper45Agreement() hypothesis.Spec {
 		Claim:   "On the sensitivity-weighted fit of the paper's 45-port PDN testcase, the adaptive characterizer reaches the 1200-point sweep's passivity verdict, and enforcement driven by the adaptive check ends passive under an independent sweep re-check.",
 		Primary: "verdict_agreement",
 		Run: func(int64) (hypothesis.Trial, error) {
-			c := NewContext(Quick())
-			m0, _, err := c.WeightedFit()
-			if err != nil {
-				return hypothesis.Trial{}, err
-			}
-			sweepOpts := repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 1200}
-			adOpts := sweepOpts
-			adOpts.Method = repro.CheckAdaptive
-			sweep, err := repro.CheckPassivity(m0, sweepOpts)
-			if err != nil {
-				return hypothesis.Trial{}, fmt.Errorf("sweep characterization: %w", err)
-			}
-			adaptive, err := repro.CheckPassivity(m0, adOpts)
-			if err != nil {
-				return hypothesis.Trial{}, fmt.Errorf("adaptive characterization: %w", err)
-			}
-			enfOpts := c.enforceOptions(nil)
-			enfOpts.Check = adOpts
-			enforced := m0.Clone()
-			enf, err := repro.EnforcePassivity(enforced, enfOpts)
-			if err != nil {
-				return hypothesis.Trial{}, fmt.Errorf("adaptive-driven enforcement: %w", err)
-			}
-			recheck, err := repro.CheckPassivity(enforced, sweepOpts)
-			if err != nil {
-				return hypothesis.Trial{}, err
-			}
-			agree := sweep.Passive == adaptive.Passive
-			passive := enf.Passive && recheck.Passive
-			return hypothesis.Trial{
-				Primary: b2f(agree),
-				Pass:    agree && passive && sweep.Samples > 0 && adaptive.Samples > 0,
-				Metrics: map[string]float64{
-					"sweep_samples":            float64(sweep.Samples),
-					"adaptive_samples":         float64(adaptive.Samples),
-					"sweep_max_sigma":          sweep.MaxSigma,
-					"adaptive_max_sigma":       adaptive.MaxSigma,
-					"verdict_agreement":        b2f(agree),
-					"sweep_violation_bands":    float64(len(sweep.Violations)),
-					"adaptive_violation_bands": float64(len(adaptive.Violations)),
-					"enforce_iterations":       float64(enf.Iterations),
-					"enforced_passive":         b2f(passive),
-				},
-			}, nil
+			return extEAgreement(NewContext(Quick()))
 		},
 	}
+}
+
+// extEAgreement characterizes c's non-passive weighted fit by the
+// 1200-point sweep and by the adaptive scheme, then enforces it with the
+// adaptive characterizer driving the loop and re-checks the result with
+// the independent sweep. It passes when the two verdicts agree and the
+// enforced model is passive.
+func extEAgreement(c *Context) (hypothesis.Trial, error) {
+	m0, _, err := c.WeightedFit()
+	if err != nil {
+		return hypothesis.Trial{}, err
+	}
+	sweepOpts := repro.CheckOptions{Method: repro.CheckSweep, FreqMin: 500, FreqMax: 4e9, SweepPoints: 1200}
+	adOpts := sweepOpts
+	adOpts.Method = repro.CheckAdaptive
+	sweep, err := repro.CheckPassivity(m0, sweepOpts)
+	if err != nil {
+		return hypothesis.Trial{}, fmt.Errorf("sweep characterization: %w", err)
+	}
+	adaptive, err := repro.CheckPassivity(m0, adOpts)
+	if err != nil {
+		return hypothesis.Trial{}, fmt.Errorf("adaptive characterization: %w", err)
+	}
+	enfOpts := c.enforceOptions(nil)
+	enfOpts.Check = adOpts
+	enforced := m0.Clone()
+	enf, err := repro.EnforcePassivity(enforced, enfOpts)
+	if err != nil {
+		return hypothesis.Trial{}, fmt.Errorf("adaptive-driven enforcement: %w", err)
+	}
+	recheck, err := repro.CheckPassivity(enforced, sweepOpts)
+	if err != nil {
+		return hypothesis.Trial{}, err
+	}
+	agree := sweep.Passive == adaptive.Passive
+	passive := enf.Passive && recheck.Passive
+	return hypothesis.Trial{
+		Primary: b2f(agree),
+		Pass:    agree && passive && sweep.Samples > 0 && adaptive.Samples > 0,
+		Metrics: map[string]float64{
+			"sweep_samples":            float64(sweep.Samples),
+			"adaptive_samples":         float64(adaptive.Samples),
+			"sweep_max_sigma":          sweep.MaxSigma,
+			"adaptive_max_sigma":       adaptive.MaxSigma,
+			"verdict_agreement":        b2f(agree),
+			"sweep_violation_bands":    float64(len(sweep.Violations)),
+			"adaptive_violation_bands": float64(len(adaptive.Violations)),
+			"enforce_iterations":       float64(enf.Iterations),
+			"enforced_passive":         b2f(passive),
+		},
+	}, nil
 }
 
 // b2f encodes a boolean metric as 0/1.

@@ -31,7 +31,7 @@ const (
 	Random
 )
 
-// MaxEntries is the default bound on a table's fingerprint→owner map.
+// MaxEntries bounds a table's fingerprint→owner map.
 const MaxEntries = 1 << 16
 
 // Candidate is one owner a job may be placed on. Callers offer only
@@ -58,19 +58,15 @@ type Table[O comparable] struct {
 }
 
 // New builds an empty table. seed makes the Random policy reproducible
-// (0 = a fixed default); maxEntries bounds the map (≤ 0 = MaxEntries);
-// warm is the caller's cache-residency probe.
-func New[O comparable](policy Policy, seed int64, maxEntries int, warm func(owner O, fp uint64) bool) *Table[O] {
+// (0 = a fixed default); warm is the caller's cache-residency probe.
+func New[O comparable](policy Policy, seed int64, warm func(owner O, fp uint64) bool) *Table[O] {
 	if seed == 0 {
 		seed = 1
-	}
-	if maxEntries <= 0 {
-		maxEntries = MaxEntries
 	}
 	return &Table[O]{
 		policy: policy,
 		rng:    rand.New(rand.NewSource(seed)),
-		max:    maxEntries,
+		max:    MaxEntries,
 		owners: make(map[uint64]O),
 		warm:   warm,
 	}

@@ -9,7 +9,7 @@ import (
 // owner for as long as it stays a candidate.
 func TestPlaceTiers(t *testing.T) {
 	warm := map[[2]uint64]bool{{2, 7}: true, {3, 7}: true}
-	tb := New(Affinity, 0, 0, func(o int, fp uint64) bool { return warm[[2]uint64{uint64(o), fp}] })
+	tb := New(Affinity, 0, func(o int, fp uint64) bool { return warm[[2]uint64{uint64(o), fp}] })
 	cands := []Candidate[int]{{0, 5}, {1, 1}, {2, 4}, {3, 3}}
 	if o, hit, ok := tb.Place(7, cands); !ok || !hit || o != 3 {
 		t.Fatalf("warm tier: got %d hit=%v ok=%v, want least-loaded warm owner 3", o, hit, ok)
@@ -39,7 +39,8 @@ func TestPlaceTiers(t *testing.T) {
 // TestRecordKeepsWarmEntries fills a bounded table and checks that the
 // eviction sheds cold entries before warm ones.
 func TestRecordKeepsWarmEntries(t *testing.T) {
-	tb := New(Affinity, 0, 4, func(o int, fp uint64) bool { return fp%2 == 0 })
+	tb := New(Affinity, 0, func(o int, fp uint64) bool { return fp%2 == 0 })
+	tb.max = 4
 	for fp := uint64(0); fp < 4; fp++ {
 		tb.Record(fp, int(fp))
 	}
@@ -70,11 +71,12 @@ func FuzzPlace(f *testing.F) {
 		var dead [owners]bool
 		var load [owners]int64
 		warm := make(map[[2]uint64]bool)
-		tb := New(Affinity, 0, bound, func(o int, fp uint64) bool {
+		tb := New(Affinity, 0, func(o int, fp uint64) bool {
 			return !dead[o] && warm[[2]uint64{uint64(o), fp}]
 		})
+		tb.max = bound
 		random := func(seed int64) []int {
-			r := New[int](Random, seed, bound, func(int, uint64) bool { return false })
+			r := New[int](Random, seed, func(int, uint64) bool { return false })
 			var draws []int
 			for i := 0; i+1 < len(ops); i += 2 {
 				o, _, _ := r.Place(uint64(ops[i]%13), []Candidate[int]{{0, 0}, {1, 0}, {2, 0}, {3, 0}})

@@ -229,22 +229,15 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // DecodePost decodes a POST request's JSON body of at most limit bytes
-// into v and validates it when v is a JobRequest. On failure it answers
-// the client itself (405, or 400 with the decode or validation error)
-// and returns false.
+// into v. On failure it answers the client itself (405, or 400 with the
+// decode error) and returns false.
 func DecodePost(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return false
 	}
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err != nil {
-		err = fmt.Errorf("decoding request: %w", err)
-	} else if req, ok := v.(JobRequest); ok {
-		err = req.Validate()
-	}
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		WriteJSON(w, http.StatusBadRequest, Response{Error: "decoding request: " + err.Error()})
 		return false
 	}
 	return true
@@ -267,17 +260,21 @@ func (r *Request) Validate() error {
 	return err
 }
 
-// AdmitJob runs the admission half of a /v1 job request: it decodes and
-// validates the body into req (DecodePost) and submits it through submit.
-// Every failure is answered here and AdmitJob returns false: 400 for a bad
-// body or spec; for a submit error, 429 with a Retry-After of retryAfter
-// when it matches full, 503 when the pool is draining or retired, 400
-// otherwise. On true the caller waits for the job and writes its result.
+// AdmitJob runs the admission half of a /v1 job request: it decodes the
+// body into req (DecodePost), validates it and submits it through
+// submit. Every failure is answered here and AdmitJob returns false: 400
+// for a bad body or spec; for a submit error, 429 with a Retry-After of
+// retryAfter when it matches full, 503 when the pool is draining or
+// retired, 400 otherwise. On true the caller waits for the job and
+// writes its result.
 func AdmitJob(w http.ResponseWriter, r *http.Request, req JobRequest, limit int64, full error, retryAfter string, submit func() error) bool {
 	if !DecodePost(w, r, req, limit) {
 		return false
 	}
-	err := submit()
+	err := req.Validate()
+	if err == nil {
+		err = submit()
+	}
 	status := http.StatusBadRequest
 	switch {
 	case err == nil:

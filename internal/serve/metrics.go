@@ -172,19 +172,14 @@ func WriteMetric(w io.Writer, name, typ, help string, v any) {
 
 // WriteFamily writes one labelled metric family: HELP, TYPE, then one
 // sample per key of values in sorted key order. A key holds the values of
-// labels joined by "/", split at the first len(labels)-1 slashes (the
+// all labels joined by "/", split at the first len(labels)-1 slashes (the
 // last label's value may itself contain slashes).
 func WriteFamily[V int64 | float64](w io.Writer, name, typ, help string, labels []string, values map[string]V) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	for _, k := range slices.Sorted(maps.Keys(values)) {
-		vals := strings.SplitN(k, "/", len(labels))
-		pairs := make([]string, len(labels))
-		for i, l := range labels {
-			v := ""
-			if i < len(vals) {
-				v = vals[i]
-			}
-			pairs[i] = fmt.Sprintf("%s=%q", l, v)
+		pairs := strings.SplitN(k, "/", len(labels))
+		for i, v := range pairs {
+			pairs[i] = fmt.Sprintf("%s=%q", labels[i], v)
 		}
 		fmt.Fprintf(w, "%s{%s} %v\n", name, strings.Join(pairs, ","), values[k])
 	}

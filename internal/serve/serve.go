@@ -299,7 +299,7 @@ func New(opts Options) (*Server, error) {
 	}
 	// The residency probe doubles as the warm placement tier (caches
 	// loaded from disk or imported) and as what a full table keeps.
-	s.affinity = placement.New(opts.Routing, opts.Seed, 0, func(id int, fp uint64) bool {
+	s.affinity = placement.New(opts.Routing, opts.Seed, func(id int, fp uint64) bool {
 		w := s.workers[id]
 		return !w.dead.Load() && w.sess.HasCache(fp)
 	})
